@@ -8,7 +8,6 @@
 #include "bn/builder.h"
 #include "features/stat_features.h"
 #include "la/kernel_dispatch.h"
-#include "la/quant.h"
 
 using namespace turbo;
 
@@ -28,7 +27,7 @@ void BM_MatMul(benchmark::State& state) {
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
 
 // The pre-optimization GEMM, kept verbatim as the "before" number for
-// the blocked/unrolled kernels in la/matrix.cc: serial ikj with a
+// the blocked scalar kernel (la/kernels_scalar.cc): serial ikj with a
 // zero-skip branch in the hot loop (a data-dependent branch that costs
 // more than the multiplies it saves on dense inputs).
 la::Matrix MatMulZeroSkipReference(const la::Matrix& a,
@@ -100,23 +99,6 @@ void BM_MatMulScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatMulScalar)->Arg(64)->Arg(256);
-
-// Int8 row-quantized GEMM (weights pre-quantized, as in serving where
-// the QuantCache is filled once at SetInferenceMode time).
-void BM_MatMulInt8(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  auto a = la::Matrix::Randn(n, n, &rng);
-  auto w = la::Matrix::Randn(n, n, &rng);
-  const la::QuantizedMatrix q = la::QuantizedMatrix::Quantize(w);
-  for (auto _ : state) {
-    auto c = la::dispatch::MatMulQuant(a, q);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-  state.SetLabel(la::IsaName(la::ActiveIsa()));
-}
-BENCHMARK(BM_MatMulInt8)->Arg(64)->Arg(256);
 
 void BM_SpMM(benchmark::State& state) {
   const size_t n = 20000, nnz = 200000, d = 32;

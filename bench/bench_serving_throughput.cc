@@ -96,8 +96,7 @@ ServingStack BuildStack(int users, const BenchScale& scale) {
 }
 
 struct RunResult {
-  // "autograd" | "inference" | "inference[scalar]" | "inference[int8]"
-  // | "inference+cache"
+  // "autograd" | "inference" | "inference[scalar]" | "inference+cache"
   std::string mode;
   int threads = 0;
   int batch = 0;
@@ -126,9 +125,7 @@ RunResult RunOne(ServingStack* s, const std::string& mode, int threads,
   pcfg.use_inference_path = mode != "autograd";
   pcfg.cache_capacity = cache_capacity;
   // "inference[scalar]" ablates the SIMD tiers (dispatch forced to the
-  // scalar kernels); "inference[int8]" serves from row-quantized
-  // weights via the server config flag.
-  pcfg.quantized_inference = mode == "inference[int8]";
+  // scalar kernels).
   std::unique_ptr<la::ScopedKernelIsa> forced_scalar;
   if (mode == "inference[scalar]") {
     forced_scalar =
@@ -158,11 +155,6 @@ RunResult RunOne(ServingStack* s, const std::string& mode, int threads,
     });
   }
   for (auto& w : workers) w.join();
-  if (pcfg.quantized_inference) {
-    // The server ctor switched the shared model to int8; restore the
-    // float path for the runs that follow.
-    s->model->SetInferenceMode(gnn::InferenceMode::kFloat);
-  }
 
   RunResult r;
   r.mode = mode;
@@ -216,13 +208,9 @@ int Main(int argc, char** argv) {
                             0, stack.pool));
     }
   }
-  // SIMD ablation and int8 quantized serving at the t1/b8 cell (the
-  // smallest gated batched cell): the scalar run isolates what the
-  // dispatched kernels buy end-to-end, the int8 run measures the
-  // quantized weight path the AUC gate admits.
+  // SIMD ablation at the t1/b8 cell (the smallest gated batched cell):
+  // the scalar run isolates what the dispatched kernels buy end-to-end.
   runs.push_back(RunOne(&stack, "inference[scalar]", 1, 8, requests, 0,
-                        stack.pool));
-  runs.push_back(RunOne(&stack, "inference[int8]", 1, 8, requests, 0,
                         stack.pool));
   // Snapshot-versioned cache: a small hot set cycled repeatedly, so the
   // second and later passes are served from the cache.

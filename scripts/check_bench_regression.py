@@ -159,10 +159,7 @@ def check_simd_floors(data, path, tolerance):
         "kernel_isa": the dispatched inference cell must not fall more
         than `tolerance` below the forced-scalar cell (serving is
         sampling/feature-bound, so the gate is no-slower-than-scalar,
-        not a speedup floor). The int8 cell is deliberately ungated on
-        speed — quantization trades per-element compute for a 4x weight
-        memory shrink and is admitted by an AUC gate, not a throughput
-        one.
+        not a speedup floor).
 
     Returns a list of failure strings (empty = pass/skip).
     """

@@ -78,17 +78,18 @@ la::Matrix Hag::ApplySaoInference(const SaoLayer& layer,
     // transformed (narrow) features and fuses with the self-term addend
     // and the activation. Equal in exact arithmetic; float difference
     // is bounded by the inference-equivalence test.
-    la::Matrix self_term = InfMul(h, layer.w_self);
-    return la::dispatch::SpmmBiasAct(mean_adj, InfMul(h, layer.w_neigh),
-                                     &self_term, la::Act::kRelu);
+    la::Matrix self_term = la::dispatch::MatMul(h, layer.w_self->value);
+    return la::dispatch::SpmmBiasAct(
+        mean_adj, la::dispatch::MatMul(h, layer.w_neigh->value), &self_term,
+        la::Act::kRelu);
   }
   // Full SAO needs Ā H itself for the gate (Eq. 7–9), so the original
   // structure stays; the products run on the dispatched kernels.
   la::Matrix hn = la::dispatch::Spmm(mean_adj, h);
-  la::Matrix self_term = InfMul(h, layer.w_self);
-  la::Matrix neigh_term = InfMul(hn, layer.w_neigh);
-  la::Matrix hs = InfMul(h, layer.w_s);
-  la::Matrix hnn = InfMul(hn, layer.w_n);
+  la::Matrix self_term = la::dispatch::MatMul(h, layer.w_self->value);
+  la::Matrix neigh_term = la::dispatch::MatMul(hn, layer.w_neigh->value);
+  la::Matrix hs = la::dispatch::MatMul(h, layer.w_s->value);
+  la::Matrix hnn = la::dispatch::MatMul(hn, layer.w_n->value);
   la::Matrix a_self = la::dispatch::MatMul(
       la::dispatch::MapAct(la::ConcatCols(hs, hs), la::Act::kTanh),
       layer.p->value);
@@ -128,8 +129,9 @@ la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
   la::Matrix scores;
   for (int r = 0; r < kNumEdgeTypes; ++r) {
     la::Matrix sr = la::dispatch::MatMul(
-        la::dispatch::MapAct(InfMul(type_embeddings[r], cfo_[r].w_attn),
-                             la::Act::kTanh),
+        la::dispatch::MapAct(
+            la::dispatch::MatMul(type_embeddings[r], cfo_[r].w_attn->value),
+            la::Act::kTanh),
         cfo_[r].v_attn->value);
     scores = (r == 0) ? std::move(sr) : la::ConcatCols(scores, sr);
   }
@@ -137,9 +139,9 @@ la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
 
   la::Matrix fused;
   for (int r = 0; r < kNumEdgeTypes; ++r) {
-    la::Matrix term =
-        la::MulColBroadcast(InfMul(type_embeddings[r], cfo_[r].m),
-                            la::SliceCols(alphas, r, 1));
+    la::Matrix term = la::MulColBroadcast(
+        la::dispatch::MatMul(type_embeddings[r], cfo_[r].m->value),
+        la::SliceCols(alphas, r, 1));
     if (r == 0) {
       fused = std::move(term);
     } else {
@@ -197,25 +199,6 @@ Tensor Hag::Embed(const gnn::GraphBatch& batch, bool training, Rng* rng) {
     fused = (r == 0) ? term : ag::Add(fused, term);
   }
   return fused;
-}
-
-void Hag::RegisterQuantWeights(la::QuantCache* cache) const {
-  for (const auto& chain : chains_) {
-    for (const auto& l : chain) {
-      cache->Add(l.w_self.get(), l.w_self->value);
-      cache->Add(l.w_neigh.get(), l.w_neigh->value);
-      if (cfg_.use_sao) {
-        cache->Add(l.w_s.get(), l.w_s->value);
-        cache->Add(l.w_n.get(), l.w_n->value);
-        // p is a [2t, 1] projection vector; stays float.
-      }
-    }
-  }
-  for (const auto& c : cfo_) {
-    cache->Add(c.w_attn.get(), c.w_attn->value);
-    cache->Add(c.m.get(), c.m->value);
-    // v_attn is [d_a, 1]; stays float.
-  }
 }
 
 std::vector<Tensor> Hag::Params() const {

@@ -53,9 +53,6 @@ class Hag : public gnn::GnnModel {
 
   const HagConfig& config() const { return cfg_; }
 
- protected:
-  void RegisterQuantWeights(la::QuantCache* cache) const override;
-
  private:
   /// One SAO layer's parameters (Eq. 5–9) for one edge type.
   struct SaoLayer {

@@ -132,9 +132,8 @@ void Generator::AssignRoles() {
     // Identity packaging is a grey-industry (ring) service; lone wolves
     // churn-and-run on their own visibly thin identities.
     u.stealth = false;
-    u.application_time = static_cast<SimTime>(rng_.NextDouble(
-        7.0 * kDay,
-        std::max<double>(8.0 * kDay, cfg_.horizon - cfg_.lease_period)));
+    u.application_time = static_cast<SimTime>(
+        rng_.NextDouble(7.0 * kDay, cfg_.horizon - cfg_.lease_period));
     u.registration_time =
         u.application_time -
         static_cast<SimTime>(rng_.NextExponential(5.0 * kDay));
@@ -151,9 +150,8 @@ void Generator::AssignRoles() {
     RingResources ring;
     if (rings_in_campaign_ == 0) {
       // New campaign: fresh farm pools, fresh launch window.
-      campaign_base_ = static_cast<SimTime>(rng_.NextDouble(
-          7.0 * kDay, std::max<double>(8.0 * kDay,
-                                       cfg_.horizon - cfg_.lease_period)));
+      campaign_base_ = static_cast<SimTime>(
+          rng_.NextDouble(7.0 * kDay, cfg_.horizon - cfg_.lease_period));
       farm_devices_.clear();
       farm_ips_.clear();
       rings_in_campaign_ = std::max(1, cfg_.rings_per_campaign);
@@ -641,6 +639,9 @@ std::vector<int> Dataset::Labels() const {
 Dataset GenerateScenario(const ScenarioConfig& config) {
   TURBO_CHECK_GT(config.num_users, 0);
   TURBO_CHECK_GT(config.horizon, 0);
+  // Fraud launch windows are drawn from [7 d, horizon - lease_period];
+  // a narrower span collapses every fraud application onto days 7-8.
+  TURBO_CHECK_GT(config.horizon - config.lease_period, 8 * kDay);
   TURBO_CHECK_GE(config.fraud_rate, 0.0);
   TURBO_CHECK_LE(config.fraud_rate, 1.0);
   TURBO_CHECK_LE(config.min_ring_size, config.max_ring_size);

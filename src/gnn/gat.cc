@@ -52,9 +52,7 @@ la::Matrix Gat::EmbedInference(const GraphBatch& batch) const {
     std::vector<la::Matrix> outs;
     outs.reserve(heads.size());
     for (const auto& head : heads) {
-      la::Matrix hw = InfMul(h, head.w);
-      // Attention projections are [d_out, 1] — dispatched float GEMM,
-      // never quantized.
+      la::Matrix hw = la::dispatch::MatMul(h, head.w->value);
       la::Matrix s = la::dispatch::MatMul(hw, head.a_src->value);
       la::Matrix d = la::dispatch::MatMul(hw, head.a_dst->value);
       outs.push_back(GatAggregateInference(batch.union_self_structure, hw, s,
@@ -67,12 +65,6 @@ la::Matrix Gat::EmbedInference(const GraphBatch& batch) const {
     h = la::dispatch::MapAct(cat, la::Act::kRelu);
   }
   return h;
-}
-
-void Gat::RegisterQuantWeights(la::QuantCache* cache) const {
-  for (const auto& heads : layers_) {
-    for (const auto& head : heads) cache->Add(head.w.get(), head.w->value);
-  }
 }
 
 std::vector<Tensor> Gat::Params() const {

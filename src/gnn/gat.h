@@ -17,9 +17,6 @@ class Gat : public GnnModel {
   std::vector<ag::Tensor> Params() const override;
   std::string name() const override { return "GAT"; }
 
- protected:
-  void RegisterQuantWeights(la::QuantCache* cache) const override;
-
  private:
   struct Head {
     ag::Tensor w;      // [d_in, d_out]

@@ -35,14 +35,11 @@ la::Matrix Gcn::EmbedInference(const GraphBatch& batch) const {
     // the activation. H W also makes the SpMM operand the (smaller)
     // output width. Equal in exact arithmetic; float difference is
     // bounded by the inference-equivalence test.
-    h = la::dispatch::SpmmBiasAct(batch.union_rw_self, InfMul(h, w),
+    h = la::dispatch::SpmmBiasAct(batch.union_rw_self,
+                                  la::dispatch::MatMul(h, w->value),
                                   /*addend=*/nullptr, la::Act::kRelu);
   }
   return h;
-}
-
-void Gcn::RegisterQuantWeights(la::QuantCache* cache) const {
-  for (const auto& w : weights_) cache->Add(w.get(), w->value);
 }
 
 std::vector<Tensor> Gcn::Params() const {

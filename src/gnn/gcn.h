@@ -18,9 +18,6 @@ class Gcn : public GnnModel {
   std::vector<ag::Tensor> Params() const override;
   std::string name() const override { return "GCN"; }
 
- protected:
-  void RegisterQuantWeights(la::QuantCache* cache) const override;
-
  private:
   GnnConfig cfg_;
   std::vector<ag::Tensor> weights_;  // per layer

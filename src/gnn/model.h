@@ -7,16 +7,9 @@
 #include "autograd/ops.h"
 #include "gnn/graph_batch.h"
 #include "la/kernel_dispatch.h"
-#include "la/quant.h"
 #include "util/rng.h"
 
 namespace turbo::gnn {
-
-/// Weight format of the tape-free inference forward. kFloat runs the
-/// runtime-dispatched float kernels (ULP-equivalent to scalar); kInt8
-/// additionally reads the large weight matrices from a per-row
-/// quantized int8 cache (AUC-equivalent, see la/quant.h).
-enum class InferenceMode { kFloat = 0, kInt8 = 1 };
 
 struct GnnConfig {
   /// Hidden sizes of the two graph layers. The paper uses {128, 64}; the
@@ -37,12 +30,8 @@ class MlpHead {
   void Init(int in_dim, int hidden, Rng* rng);
   ag::Tensor Forward(const ag::Tensor& h) const;
   /// Tape-free Forward on a raw matrix through the dispatched fused
-  /// GEMM+bias+act kernels. With `qcache` non-null, weight matrices
-  /// found in the cache are read in int8.
-  la::Matrix ForwardInference(const la::Matrix& h,
-                              const la::QuantCache* qcache = nullptr) const;
-  /// Adds this head's weight matrices (not biases) to `cache`.
-  void RegisterQuantWeights(la::QuantCache* cache) const;
+  /// GEMM+bias+act kernels.
+  la::Matrix ForwardInference(const la::Matrix& h) const;
   std::vector<ag::Tensor> Params() const;
 
  private:
@@ -82,15 +71,8 @@ class GnnModel {
 
   /// Tape-free Logits: classification head over EmbedInference().
   la::Matrix LogitsInference(const GraphBatch& batch) const {
-    return head_.ForwardInference(EmbedInference(batch), QuantWeights());
+    return head_.ForwardInference(EmbedInference(batch));
   }
-
-  /// Selects the weight format used by the tape-free forwards. kInt8
-  /// (re)quantizes the current weight values into the model's cache —
-  /// call again after further training to refresh. Training and the
-  /// autograd forward are unaffected.
-  void SetInferenceMode(InferenceMode mode);
-  InferenceMode inference_mode() const { return inference_mode_; }
 
   virtual std::vector<ag::Tensor> Params() const = 0;
   virtual std::string name() const = 0;
@@ -112,32 +94,10 @@ class GnnModel {
     return ag::Constant(batch.features, "x");
   }
 
-  /// Adds the model's quantization-eligible weight matrices to `cache`
-  /// (typically the large [d_in, d_out] transforms; small projection
-  /// vectors stay float). Called by SetInferenceMode(kInt8); the head's
-  /// weights are registered separately.
-  virtual void RegisterQuantWeights(la::QuantCache* cache) const {}
-
-  /// The int8 weight cache when int8 mode is active, else null.
-  const la::QuantCache* QuantWeights() const {
-    return inference_mode_ == InferenceMode::kInt8 ? &qcache_ : nullptr;
-  }
-
-  /// a * w for inference forwards: int8 weight path when `w` is in the
-  /// active quant cache, dispatched float GEMM otherwise.
-  la::Matrix InfMul(const la::Matrix& a, const ag::Tensor& w) const;
-
-  /// Fused act(a * w + addend); addend semantics as in
-  /// la::dispatch::MatMulBiasAct.
-  la::Matrix InfMulBiasAct(const la::Matrix& a, const ag::Tensor& w,
-                           const la::Matrix* addend, la::Act act) const;
-
   MlpHead head_;
 
  private:
   ag::Tensor input_override_;
-  InferenceMode inference_mode_ = InferenceMode::kFloat;
-  la::QuantCache qcache_;
 };
 
 }  // namespace turbo::gnn

@@ -38,16 +38,12 @@ la::Matrix GraphSage::EmbedInference(const GraphBatch& batch) const {
     // features and fuses with the self-term addend and the activation
     // in one pass. Equal in exact arithmetic; float difference is
     // bounded by the inference-equivalence test.
-    la::Matrix self_term = InfMul(h, self_w_[l]);
-    h = la::dispatch::SpmmBiasAct(batch.union_mean, InfMul(h, neigh_w_[l]),
-                                  &self_term, la::Act::kRelu);
+    la::Matrix self_term = la::dispatch::MatMul(h, self_w_[l]->value);
+    h = la::dispatch::SpmmBiasAct(
+        batch.union_mean, la::dispatch::MatMul(h, neigh_w_[l]->value),
+        &self_term, la::Act::kRelu);
   }
   return h;
-}
-
-void GraphSage::RegisterQuantWeights(la::QuantCache* cache) const {
-  for (const auto& w : self_w_) cache->Add(w.get(), w->value);
-  for (const auto& w : neigh_w_) cache->Add(w.get(), w->value);
 }
 
 std::vector<Tensor> GraphSage::Params() const {

@@ -18,9 +18,6 @@ class GraphSage : public GnnModel {
   std::vector<ag::Tensor> Params() const override;
   std::string name() const override { return "G-SAGE"; }
 
- protected:
-  void RegisterQuantWeights(la::QuantCache* cache) const override;
-
  private:
   GnnConfig cfg_;
   std::vector<ag::Tensor> self_w_, neigh_w_;

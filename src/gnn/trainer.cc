@@ -23,28 +23,13 @@ Tensor MlpHead::Forward(const Tensor& h) const {
   return ag::AddRowBroadcast(ag::MatMul(z, w2_), b2_);
 }
 
-la::Matrix MlpHead::ForwardInference(const la::Matrix& h,
-                                     const la::QuantCache* qcache) const {
+la::Matrix MlpHead::ForwardInference(const la::Matrix& h) const {
   TURBO_CHECK(w1_ != nullptr);
-  // Fused GEMM + bias + activation through the dispatched kernels; the
-  // int8 weight path kicks in per matrix when a quant cache is active.
-  auto mul = [&](const la::Matrix& a, const Tensor& w, const Tensor& b,
-                 la::Act act) {
-    if (qcache != nullptr) {
-      if (const la::QuantizedMatrix* q = qcache->Find(w.get())) {
-        return la::dispatch::MatMulQuantBiasAct(a, *q, &b->value, act);
-      }
-    }
-    return la::dispatch::MatMulBiasAct(a, w->value, &b->value, act);
-  };
-  la::Matrix z = mul(h, w1_, b1_, la::Act::kRelu);
-  return mul(z, w2_, b2_, la::Act::kIdentity);
-}
-
-void MlpHead::RegisterQuantWeights(la::QuantCache* cache) const {
-  TURBO_CHECK(w1_ != nullptr);
-  cache->Add(w1_.get(), w1_->value);
-  cache->Add(w2_.get(), w2_->value);
+  // Fused GEMM + bias + activation through the dispatched kernels.
+  la::Matrix z =
+      la::dispatch::MatMulBiasAct(h, w1_->value, &b1_->value, la::Act::kRelu);
+  return la::dispatch::MatMulBiasAct(z, w2_->value, &b2_->value,
+                                     la::Act::kIdentity);
 }
 
 std::vector<Tensor> MlpHead::Params() const {

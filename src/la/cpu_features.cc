@@ -17,10 +17,6 @@ CpuFeatures Probe() {
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
   f.avx512f = __builtin_cpu_supports("avx512f");
-#elif defined(__aarch64__)
-  // Advanced SIMD is part of the aarch64 baseline; no HWCAP probe is
-  // needed for the plain-NEON kernels this library ships.
-  f.neon = true;
 #endif
   return f;
 }
@@ -37,12 +33,6 @@ bool CompiledIsa(KernelIsa isa) {
 #endif
     case KernelIsa::kAvx512:
 #if defined(TURBO_LA_HAVE_AVX512)
-      return true;
-#else
-      return false;
-#endif
-    case KernelIsa::kNeon:
-#if defined(TURBO_LA_HAVE_NEON)
       return true;
 #else
       return false;
@@ -87,8 +77,6 @@ bool IsaSupported(KernelIsa isa) {
       return f.avx2 && f.fma;
     case KernelIsa::kAvx512:
       return f.avx512f;
-    case KernelIsa::kNeon:
-      return f.neon;
   }
   return false;
 }
@@ -99,9 +87,6 @@ KernelIsa BestIsa(const CpuFeatures& features) {
   }
   if (features.avx2 && features.fma && CompiledIsa(KernelIsa::kAvx2)) {
     return KernelIsa::kAvx2;
-  }
-  if (features.neon && CompiledIsa(KernelIsa::kNeon)) {
-    return KernelIsa::kNeon;
   }
   return KernelIsa::kScalar;
 }
@@ -136,8 +121,6 @@ const char* IsaName(KernelIsa isa) {
       return "avx2";
     case KernelIsa::kAvx512:
       return "avx512";
-    case KernelIsa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -149,8 +132,6 @@ bool ParseIsaName(const std::string& name, KernelIsa* out) {
     *out = KernelIsa::kAvx2;
   } else if (name == "avx512") {
     *out = KernelIsa::kAvx512;
-  } else if (name == "neon") {
-    *out = KernelIsa::kNeon;
   } else if (name == "auto") {
     *out = BestIsa();
   } else {

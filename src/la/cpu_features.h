@@ -2,22 +2,22 @@
 //
 // The SIMD kernel tiers (see kernel_dispatch.h) are compiled per-file
 // with the matching -m flags and picked at runtime: CpuFeatures::Get()
-// probes the host once (cpuid-backed __builtin_cpu_supports on x86,
-// the architecture baseline on arm64), BestIsa() maps the probe to the
-// widest tier this binary both compiled and the host supports, and the
-// kernel table resolves against that choice the first time a dispatched
-// kernel runs.
+// probes the host once (cpuid-backed __builtin_cpu_supports on x86; every
+// other architecture runs the scalar tier), BestIsa() maps the probe to
+// the widest tier this binary both compiled and the host supports, and
+// the kernel table resolves against that choice the first time a
+// dispatched kernel runs.
 //
 // Every tier is overridable for testing: SetKernelIsa() forces a
 // specific tier (so one AVX-512 machine can exercise the scalar, AVX2,
 // and AVX-512 paths in a single test binary), and the TURBO_KERNEL_ISA
-// environment variable ("scalar" | "avx2" | "avx512" | "neon" | "auto")
-// applies the same override at process start. Forcing a tier the host
-// cannot execute is a CHECK failure, not an illegal instruction.
+// environment variable ("scalar" | "avx2" | "avx512" | "auto") applies
+// the same override at process start. Forcing a tier the host cannot
+// execute is a CHECK failure, not an illegal instruction.
 //
-// The training path never consults this: autograd kernels are the plain
-// scalar la:: functions regardless of the active ISA, so training stays
-// bit-exact across machines (see DESIGN.md §13).
+// The training path never consults this: the plain la:: kernels autograd
+// calls always run the scalar table, whatever the active ISA, so
+// training stays bit-exact across machines (see DESIGN.md §13).
 #pragma once
 
 #include <string>
@@ -31,7 +31,6 @@ enum class KernelIsa {
   kScalar = 0,
   kAvx2 = 1,    // AVX2 + FMA (x86-64-v3)
   kAvx512 = 2,  // AVX-512F (+FMA)
-  kNeon = 3,    // aarch64 baseline
 };
 
 /// One-time host probe. Fields are false on architectures where the
@@ -40,7 +39,6 @@ struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
   bool avx512f = false;
-  bool neon = false;
 
   /// Probed once, cached for the process lifetime.
   static const CpuFeatures& Get();
@@ -65,7 +63,7 @@ void SetKernelIsa(KernelIsa isa);
 /// Drops any override and re-resolves from the environment / probe.
 void ResetKernelIsa();
 
-/// "scalar" | "avx2" | "avx512" | "neon".
+/// "scalar" | "avx2" | "avx512".
 const char* IsaName(KernelIsa isa);
 
 /// Inverse of IsaName; also accepts "auto" (reported as BestIsa()).

@@ -1,17 +1,17 @@
-// Runtime-dispatched dense/sparse kernels for the tape-free inference
-// path, plus the fused epilogues the model forwards use.
+// Dense/sparse product drivers, run on two kernel tables.
 //
-// Each function here mirrors the blocking and thread-pool structure of
-// its plain la:: counterpart (la::MatMul, la::MatMulTransB,
-// SparseMatrix::Multiply, MapT) but routes the inner row-range loops
-// through the per-ISA kernel table selected by la::ActiveIsa() (see
-// cpu_features.h). With KernelIsa::kScalar forced, every function is
-// bit-identical to its la:: counterpart; SIMD tiers keep the same
-// accumulation order and are held to a <= 4-ULP elementwise bound by
-// tests/la/dispatch_test.cc and tests/core/simd_equivalence_test.cc.
-//
-// The autograd/training path never calls through here — it uses the
-// plain scalar la:: kernels so training is bit-exact across machines.
+// The drivers in kernel_dispatch.cc own the blocking and row-parallel
+// threading of every GEMM and SpMM and route the inner row-range loops
+// through a per-ISA kernel table (kernel_table.h). The plain la:: kernels
+// (la::MatMul, la::MatMulTransB, SparseMatrix::Multiply) run them on the
+// scalar table; autograd and training call those, so training is
+// bit-exact across machines. The functions here run them on the table
+// selected by la::ActiveIsa() (see cpu_features.h) and add the fused
+// epilogues the tape-free inference forwards use. With KernelIsa::kScalar
+// forced, every function is bit-identical to its la:: counterpart because
+// both run the same loops; SIMD tiers keep the same accumulation order and
+// are held to a <= 4-ULP elementwise bound by tests/la/dispatch_test.cc
+// and tests/core/simd_equivalence_test.cc.
 #pragma once
 
 #include "la/cpu_features.h"
@@ -21,7 +21,7 @@
 
 namespace turbo::la::dispatch {
 
-/// C = A * B, dispatched. Same shapes/blocking/parallelism as la::MatMul.
+/// C = A * B, dispatched. Same contract as la::MatMul.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// C = A * B^T, dispatched. Same contract as la::MatMulTransB.
@@ -49,11 +49,5 @@ Matrix MatMulBiasAct(const Matrix& a, const Matrix& b, const Matrix* addend,
 /// so MapAct is bit-identical across tiers (and to la::MapT with the
 /// matching la::kernels functor).
 Matrix MapAct(const Matrix& a, Act act);
-
-namespace internal {
-/// Kernel table for the currently active ISA (scalar fallback if the
-/// active tier was not compiled in — unreachable via SetKernelIsa).
-const la::internal::KernelTable& ActiveTable();
-}  // namespace internal
 
 }  // namespace turbo::la::dispatch

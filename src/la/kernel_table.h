@@ -1,9 +1,10 @@
-// Internal function-pointer kernel table backing la::dispatch.
+// Internal function-pointer kernel table behind every dense/sparse product.
 //
-// Each ISA tier (kernels_scalar.cc, kernels_avx2.cc, kernels_avx512.cc,
-// kernels_neon.cc) fills one KernelTable with raw-pointer row-range
-// microkernels; the drivers in kernel_dispatch.cc own the blocking /
-// thread-pool structure and call through the table for the inner loops.
+// Each ISA tier (kernels_scalar.cc, kernels_avx2.cc, kernels_avx512.cc)
+// fills one KernelTable with raw-pointer row-range microkernels; the
+// drivers in kernel_dispatch.cc own the blocking / thread-pool structure
+// and call through the table for the inner loops. The plain la:: kernels
+// run the drivers on the scalar table, la::dispatch on the active one.
 // Keeping the outer structure ISA-independent is what makes the tiers
 // ULP-comparable: every tier accumulates each output element in exactly
 // the same order (depth-sequential, rows never split), so the only
@@ -24,11 +25,6 @@
 //                  kSigmoid call the scalar libm routine on every tier
 //                  (bit-identical across tiers by construction); kRelu
 //                  and kIdentity are exact on every tier.
-//  * gemm_quant_rows: C[r,:] += A[r, :] * dequant(Q) with per-row
-//                  (scale, zero-point) int8 weights: the multiplier
-//                  a[r,p] * scale[p] is formed once per (r,p) in float
-//                  and applied to (q[p,j] - zp[p]); accumulation stays
-//                  float (never int32), depth-sequential.
 #pragma once
 
 #include <cstddef>
@@ -57,21 +53,16 @@ struct KernelTable {
   void (*epilogue_rows)(float* c, const float* add, size_t add_stride,
                         size_t n, size_t r0, size_t r1, Act act);
   void (*map_act)(Act act, const float* in, float* out, size_t count);
-  void (*gemm_quant_rows)(const float* a, const int8_t* q,
-                          const float* scale, const int32_t* zero_point,
-                          float* c, size_t k, size_t n, size_t r0,
-                          size_t r1);
 };
 
-/// Scalar tier; always present. Bit-identical to the plain la:: kernels
-/// (la::MatMul / SparseMatrix::Multiply / MapT) by construction.
+/// Scalar tier; always present. The plain la:: kernels (la::MatMul,
+/// la::MatMulTransB, SparseMatrix::Multiply) run on this table.
 const KernelTable& ScalarKernels();
 
 // SIMD tiers; declared unconditionally, defined only when the matching
 // TURBO_LA_HAVE_* flag compiled the TU. Callers gate on IsaSupported().
 const KernelTable& Avx2Kernels();
 const KernelTable& Avx512Kernels();
-const KernelTable& NeonKernels();
 
 /// Scalar activation shared by every tier's tail/transcendental paths.
 float ApplyAct(Act act, float x);

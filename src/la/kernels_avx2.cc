@@ -203,44 +203,11 @@ void MapAct(Act act, const float* in, float* out, size_t count) {
   for (size_t i = 0; i < count; ++i) out[i] = ApplyAct(act, in[i]);
 }
 
-void GemmQuantRows(const float* a, const int8_t* q, const float* scale,
-                   const int32_t* zero_point, float* c, size_t k, size_t n,
-                   size_t r0, size_t r1) {
-  for (size_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (size_t p = 0; p < k; ++p) {
-      const float m = arow[p] * scale[p];
-      const int32_t zp = zero_point[p];
-      const int8_t* qrow = q + p * n;
-      const __m256 vm = _mm256_set1_ps(m);
-      const __m256i vzp = _mm256_set1_epi32(zp);
-      size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m128i q8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(qrow + j));
-        const __m256i q32 =
-            _mm256_sub_epi32(_mm256_cvtepi8_epi32(q8), vzp);
-        const __m256 deq = _mm256_cvtepi32_ps(q32);
-        _mm256_storeu_ps(
-            crow + j,
-            _mm256_fmadd_ps(vm, deq, _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) {
-        crow[j] +=
-            m * static_cast<float>(static_cast<int32_t>(qrow[j]) - zp);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
-  static const KernelTable table = {
-      GemmRows,     GemmTransBRows, SpmmRows,
-      EpilogueRows, MapAct,         GemmQuantRows,
-  };
+  static const KernelTable table = {GemmRows, GemmTransBRows, SpmmRows,
+                                    EpilogueRows, MapAct};
   return table;
 }
 

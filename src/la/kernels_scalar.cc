@@ -1,14 +1,12 @@
-// Scalar kernel tier: the reference implementations every SIMD tier is
-// ULP-gated against.
+// Scalar kernel tier: the only tier training runs on, and the reference
+// every SIMD tier is ULP-gated against.
 //
-// The loop bodies mirror la::MatMul / la::MatMulTransB /
-// la::SparseMatrix::Multiply exactly (same loop order, same accumulation
-// sequence, no FMA contraction beyond what the base compile flags already
-// allow), so forcing KernelIsa::kScalar makes the dispatched inference
-// kernels bit-identical to the autograd/training kernels.
-#include <cmath>
-
+// The plain la:: kernels (la::MatMul, la::MatMulTransB,
+// SparseMatrix::Multiply) are this table driven by kernel_dispatch.cc, so
+// forcing KernelIsa::kScalar makes the dispatched inference kernels
+// bit-identical to the autograd/training kernels: both run these loops.
 #include "la/kernel_table.h"
+#include "la/matrix.h"
 
 namespace turbo::la::internal {
 
@@ -17,13 +15,11 @@ float ApplyAct(Act act, float x) {
     case Act::kIdentity:
       return x;
     case Act::kRelu:
-      return x > 0.0f ? x : 0.0f;
+      return kernels::Relu(x);
     case Act::kTanh:
-      return std::tanh(x);
+      return kernels::Tanh(x);
     case Act::kSigmoid:
-      // Same numerically-stable split as la::kernels::Sigmoid.
-      return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                       : std::exp(x) / (1.0f + std::exp(x));
+      return kernels::Sigmoid(x);
   }
   return x;
 }
@@ -99,32 +95,11 @@ void MapAct(Act act, const float* in, float* out, size_t count) {
   for (size_t i = 0; i < count; ++i) out[i] = ApplyAct(act, in[i]);
 }
 
-void GemmQuantRows(const float* a, const int8_t* q, const float* scale,
-                   const int32_t* zero_point, float* c, size_t k, size_t n,
-                   size_t r0, size_t r1) {
-  for (size_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (size_t p = 0; p < k; ++p) {
-      // Per-row affine dequantization folded into the multiplier: float
-      // accumulate, int8 memory traffic.
-      const float m = arow[p] * scale[p];
-      const int32_t zp = zero_point[p];
-      const int8_t* qrow = q + p * n;
-      for (size_t j = 0; j < n; ++j) {
-        crow[j] += m * static_cast<float>(static_cast<int32_t>(qrow[j]) - zp);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& ScalarKernels() {
-  static const KernelTable table = {
-      GemmRows,     GemmTransBRows, SpmmRows,
-      EpilogueRows, MapAct,         GemmQuantRows,
-  };
+  static const KernelTable table = {GemmRows, GemmTransBRows, SpmmRows,
+                                    EpilogueRows, MapAct};
   return table;
 }
 

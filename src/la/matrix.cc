@@ -1,60 +1,10 @@
 #include "la/matrix.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 
-#include "util/thread_pool.h"
-
 namespace turbo::la {
-
-namespace {
-
-// Kernel parallelism: rows are sliced across the shared pool only when
-// the product is big enough to amortize the hand-off, and each row is
-// computed start-to-finish by one thread, so the floating-point
-// accumulation order (and therefore the result bits) never depends on
-// the thread count.
-constexpr size_t kParallelFlopThreshold = size_t{1} << 20;
-
-std::atomic<int> g_kernel_threads{0};  // <= 0: hardware default
-
-}  // namespace
-
-namespace detail {
-
-void ParallelRows(size_t rows, size_t flops_per_row,
-                  const std::function<void(size_t, size_t)>& body) {
-  const size_t total = rows * flops_per_row;
-  const int cap = g_kernel_threads.load(std::memory_order_relaxed);
-  if (total < kParallelFlopThreshold || rows < 2 || cap == 1) {
-    body(0, rows);
-    return;
-  }
-  // Aim for a few chunks per thread for load balance, but keep every
-  // chunk above the threshold's worth of work.
-  auto& pool = util::ThreadPool::Shared();
-  size_t threads = static_cast<size_t>(pool.size()) + 1;
-  if (cap > 0) threads = std::min(threads, static_cast<size_t>(cap));
-  const size_t min_rows =
-      std::max<size_t>(1, kParallelFlopThreshold / 4 / flops_per_row);
-  const size_t grain =
-      std::max(min_rows, (rows + 2 * threads - 1) / (2 * threads));
-  pool.ParallelFor(rows, grain, body);
-}
-
-}  // namespace detail
-
-void SetKernelThreads(int threads) {
-  g_kernel_threads.store(threads <= 0 ? 0 : threads,
-                         std::memory_order_relaxed);
-}
-
-int KernelThreads() {
-  const int cap = g_kernel_threads.load(std::memory_order_relaxed);
-  return cap > 0 ? cap : util::ThreadPool::Shared().size() + 1;
-}
 
 Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
   TURBO_CHECK(!rows.empty());
@@ -123,35 +73,6 @@ std::string Matrix::DebugString(int max_rows, int max_cols) const {
   return oss.str();
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  TURBO_CHECK_EQ(a.cols(), b.rows());
-  Matrix c(a.rows(), b.cols());
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  // ikj loop order: streams through b and c rows so the inner loop
-  // vectorizes. The depth loop is blocked to keep the active slice of b
-  // in cache for large k; blocks advance in increasing p, so each c[i,j]
-  // accumulates in exactly the serial order. Dense inputs branch-predict
-  // terribly on a zero-skip test, so none is attempted (the old kernel's
-  // `if (av == 0.0f) continue;` cost ~30% on dense GEMM — see
-  // bench_micro_kernels BM_MatMulReference).
-  constexpr size_t kDepthBlock = 128;
-  detail::ParallelRows(m, k * n, [&](size_t r0, size_t r1) {
-    for (size_t p0 = 0; p0 < k; p0 += kDepthBlock) {
-      const size_t p1 = std::min(k, p0 + kDepthBlock);
-      for (size_t i = r0; i < r1; ++i) {
-        float* crow = c.row(i);
-        const float* arow = a.row(i);
-        for (size_t p = p0; p < p1; ++p) {
-          const float av = arow[p];
-          const float* brow = b.row(p);
-          for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
-  return c;
-}
-
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   TURBO_CHECK_EQ(a.rows(), b.rows());
   Matrix c(a.cols(), b.cols());
@@ -166,41 +87,6 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
       for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
-  return c;
-}
-
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  TURBO_CHECK_EQ(a.cols(), b.cols());
-  Matrix c(a.rows(), b.rows());
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  // Row-of-a against two rows of b at a time: a[i,:] is loaded once per
-  // pair instead of once per row of b. Each dot product keeps one
-  // sequential accumulator, so results match the serial kernel exactly.
-  detail::ParallelRows(m, k * n, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const float* arow = a.row(i);
-      float* crow = c.row(i);
-      size_t j = 0;
-      for (; j + 1 < n; j += 2) {
-        const float* b0 = b.row(j);
-        const float* b1 = b.row(j + 1);
-        float s0 = 0.0f, s1 = 0.0f;
-        for (size_t p = 0; p < k; ++p) {
-          const float av = arow[p];
-          s0 += av * b0[p];
-          s1 += av * b1[p];
-        }
-        crow[j] = s0;
-        crow[j + 1] = s1;
-      }
-      if (j < n) {
-        const float* brow = b.row(j);
-        float s = 0.0f;
-        for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-        crow[j] = s;
-      }
-    }
-  });
   return c;
 }
 
@@ -296,8 +182,14 @@ Matrix SliceCols(const Matrix& a, size_t start, size_t len) {
 bool AllClose(const Matrix& a, const Matrix& b, float atol, float rtol) {
   if (!a.same_shape(b)) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    float x = a.data()[i], y = b.data()[i];
-    if (std::abs(x - y) > atol + rtol * std::abs(y)) return false;
+    const float x = a.data()[i], y = b.data()[i];
+    // Equal values pass (equal infinities included); anything else must
+    // be finite and within tolerance, so NaN and a lone infinity fail.
+    if (x == y) continue;
+    if (!(std::isfinite(x) && std::isfinite(y) &&
+          std::abs(x - y) <= atol + rtol * std::abs(y))) {
+      return false;
+    }
   }
   return true;
 }

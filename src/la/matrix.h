@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -105,7 +104,10 @@ class Matrix {
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. Row-parallel on the shared
 /// thread pool above a flop threshold; the per-element accumulation
 /// order is independent of the thread count, so results are identical
-/// across serial and parallel runs.
+/// across serial and parallel runs. MatMul, MatMulTransB and
+/// SparseMatrix::Multiply are the scalar-tier instances of the drivers in
+/// kernel_dispatch.cc, the same loops la::dispatch runs under
+/// KernelIsa::kScalar.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 /// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n].
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
@@ -117,15 +119,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 /// default. Thread count never changes numerical results.
 void SetKernelThreads(int threads);
 int KernelThreads();
-
-namespace detail {
-/// Runs `body(r0, r1)` over row ranges covering [0, rows), on the shared
-/// pool when rows * flops_per_row clears the parallel threshold (and the
-/// SetKernelThreads cap allows it), inline otherwise. Rows are never
-/// split, so per-row accumulation order is thread-count independent.
-void ParallelRows(size_t rows, size_t flops_per_row,
-                  const std::function<void(size_t, size_t)>& body);
-}  // namespace detail
 
 Matrix Transpose(const Matrix& a);
 
@@ -187,7 +180,8 @@ Matrix Col(const Matrix& a, size_t c);
 /// Columns [start, start+len) as an [m, len] matrix.
 Matrix SliceCols(const Matrix& a, size_t start, size_t len);
 
-/// True if max |a-b| <= atol + rtol*max|b|.
+/// True if the shapes match and every element pair is equal, or finite
+/// with |a-b| <= atol + rtol*|b|. NaN never passes.
 bool AllClose(const Matrix& a, const Matrix& b, float atol = 1e-5f,
               float rtol = 1e-4f);
 

@@ -41,28 +41,6 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
   return m;
 }
 
-Matrix SparseMatrix::Multiply(const Matrix& x) const {
-  TURBO_CHECK_EQ(cols_, x.rows());
-  Matrix y(rows_, x.cols());
-  const size_t n = x.cols();
-  // Output rows are independent, so the row loop parallelizes without
-  // changing any per-row accumulation order (threshold on average work
-  // per row; see la/matrix.h SetKernelThreads).
-  const size_t avg_flops =
-      rows_ == 0 ? 0 : std::max<size_t>(1, nnz() * n / rows_);
-  detail::ParallelRows(rows_, avg_flops, [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      float* yrow = y.row(r);
-      for (uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const float v = values_[k];
-        const float* xrow = x.row(col_idx_[k]);
-        for (size_t j = 0; j < n; ++j) yrow[j] += v * xrow[j];
-      }
-    }
-  });
-  return y;
-}
-
 Matrix SparseMatrix::MultiplyTransposed(const Matrix& x) const {
   TURBO_CHECK_EQ(rows_, x.rows());
   Matrix y(cols_, x.cols());

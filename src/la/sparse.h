@@ -35,7 +35,8 @@ class SparseMatrix {
   const AlignedVector<uint32_t>& col_idx() const { return col_idx_; }
   const AlignedVector<float>& values() const { return values_; }
 
-  /// Y = this * X. Shapes: [m,k] x [k,n] -> [m,n].
+  /// Y = this * X. Shapes: [m,k] x [k,n] -> [m,n]. Row-parallel; the
+  /// scalar-tier instance of the SpMM driver in kernel_dispatch.cc.
   Matrix Multiply(const Matrix& x) const;
 
   /// Y = this^T * X. Shapes: [m,k]^T x [m,n] -> [k,n].

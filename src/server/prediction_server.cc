@@ -22,13 +22,9 @@ PredictionServer::PredictionServer(PredictionConfig config, BnServer* bn,
   TURBO_CHECK(features_ != nullptr);
   TURBO_CHECK(model_ != nullptr);
   TURBO_CHECK(scaler_ != nullptr);
-  if (config_.quantized_inference) {
-    // Int8 weights exist only on the tape-free path; the autograd
-    // forward always reads float parameters.
-    TURBO_CHECK_MSG(config_.use_inference_path,
-                    "quantized_inference requires use_inference_path");
-    model_->SetInferenceMode(gnn::InferenceMode::kInt8);
-  }
+  TURBO_CHECK_MSG(!config_.quantized_inference,
+                  "quantized_inference: int8 serving was removed; the "
+                  "server serves float weights only");
   if (config_.metrics != nullptr) {
     metrics_ = config_.metrics;
   } else {

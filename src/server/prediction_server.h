@@ -77,10 +77,8 @@ struct PredictionConfig {
   /// and runs the runtime-dispatched SIMD kernels. Off by default so
   /// existing callers keep byte-for-byte behavior.
   bool use_inference_path = false;
-  /// Serve from int8 row-quantized weights (la/quant.h). Requires
-  /// use_inference_path; the model's weights are quantized once at
-  /// server construction. Predictions change within the AUC-equivalence
-  /// gate of tests/core/quantized_inference_test (|dAUC| <= 0.002).
+  /// Must stay false (the constructor CHECKs it): the server serves
+  /// float weights only. Kept until its last caller stops assigning it.
   bool quantized_inference = false;
   /// Capacity (entries) of the snapshot-versioned prediction cache;
   /// 0 disables it. Keys are (shard_tag, snapshot version, uid), so a

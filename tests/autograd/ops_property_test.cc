@@ -1,5 +1,7 @@
 // Parameterized gradient checks: every composite op pattern is verified
 // across a sweep of shapes and seeds.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "autograd/gradcheck.h"
@@ -13,6 +15,11 @@ struct ShapeCase {
   size_t cols;
   uint64_t seed;
 };
+
+// Names each ctest case by its fields instead of its raw bytes.
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << "rows=" << c.rows << " cols=" << c.cols << " seed=" << c.seed;
+}
 
 class OpsPropertyTest : public ::testing::TestWithParam<ShapeCase> {};
 

@@ -1,5 +1,7 @@
 // Property-based sweeps over BN construction: invariants that must hold
 // for any window hierarchy, any population size, and any seed.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "bn/builder.h"
@@ -14,6 +16,12 @@ struct BnPropertyCase {
   uint64_t seed;
   std::vector<SimTime> windows;
 };
+
+// Names each ctest case by its fields instead of its raw bytes.
+void PrintTo(const BnPropertyCase& c, std::ostream* os) {
+  *os << "users=" << c.users << " seed=" << c.seed
+      << " windows=" << c.windows.size();
+}
 
 class BnPropertyTest : public ::testing::TestWithParam<BnPropertyCase> {
  protected:

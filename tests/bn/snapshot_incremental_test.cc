@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "bn/snapshot.h"
@@ -65,6 +66,12 @@ struct IncrementalCase {
   uint64_t seed;
   bool normalize;
 };
+
+// Names each ctest case by its fields instead of its raw bytes.
+void PrintTo(const IncrementalCase& c, std::ostream* os) {
+  *os << "nodes=" << c.num_nodes << " seed=" << c.seed
+      << " normalize=" << (c.normalize ? "true" : "false");
+}
 
 class SnapshotIncrementalTest
     : public ::testing::TestWithParam<IncrementalCase> {};

@@ -256,6 +256,10 @@ TEST(ScenarioConfigDeathTest, RejectsBadConfig) {
   cfg = ScenarioConfig{};
   cfg.fraud_rate = 1.5;
   EXPECT_DEATH(GenerateScenario(cfg), "CHECK failed");
+  // A lease that leaves no launch window past day 8.
+  cfg = ScenarioConfig{};
+  cfg.lease_period = cfg.horizon - 8 * kDay;
+  EXPECT_DEATH(GenerateScenario(cfg), "CHECK failed");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -182,6 +183,14 @@ TEST(AllCloseTest, DetectsDifference) {
   b(0, 0) = 1.1f;
   EXPECT_FALSE(AllClose(a, b));
   EXPECT_FALSE(AllClose(a, Matrix(2, 3, 1.0f)));
+  // NaN and a lone infinity never pass the tolerance.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Matrix one(1, 1, 1.0f);
+  EXPECT_FALSE(AllClose(Matrix(1, 1, nan), one));
+  EXPECT_FALSE(AllClose(one, Matrix(1, 1, nan)));
+  EXPECT_FALSE(AllClose(one, Matrix(1, 1, inf)));
+  EXPECT_TRUE(AllClose(Matrix(1, 1, -inf), Matrix(1, 1, -inf)));
 }
 
 }  // namespace

@@ -223,5 +223,20 @@ TEST_F(PredictionServerTest, RepeatRequestsBenefitFromFeatureCache) {
   EXPECT_LT(hit_clock.ElapsedMicros(), miss_clock.ElapsedMicros());
 }
 
+TEST(PredictionServerDeathTest, QuantizedInferenceIsRejected) {
+  BnServerConfig bcfg;
+  bcfg.num_users = 4;
+  BnServer bn(bcfg);
+  features::FeatureStore features(features::FeatureStoreConfig{},
+                                  &bn.logs());
+  core::Hag model;
+  ml::StandardScaler scaler;
+  PredictionConfig cfg;
+  cfg.use_inference_path = true;
+  cfg.quantized_inference = true;
+  EXPECT_DEATH(PredictionServer(cfg, &bn, &features, &model, &scaler),
+               "int8 serving was removed");
+}
+
 }  // namespace
 }  // namespace turbo::server
