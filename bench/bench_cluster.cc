@@ -14,12 +14,10 @@
 //                      Both are CHECKed bit-identical to the primary
 //                      before any number is reported.
 //
-// catchup_speedup (cold / warm) is a machine-independent ratio — the
-// regression gate compares it on any box, while the per-shard ingest
-// cells carry /tN/ labels so single-core runners skip them.
+// catchup_speedup (cold / warm) is a machine-independent ratio; the run
+// fails (exit 1) unless it is above 1.
 //
-// Writes BENCH_cluster.json (consumed by
-// scripts/check_bench_regression.py).
+// Writes BENCH_cluster.json.
 //
 //   ./bench_cluster [--users=N] [--logs=K] [--days=D]
 //                   [--ship_every_hours=H] [--dir=STATE_DIR]

@@ -19,7 +19,7 @@ namespace turbo::benchx {
 
 /// Aborts unless this binary was built with optimization AND a
 /// Release-family CMAKE_BUILD_TYPE: numbers from unoptimized builds are
-/// meaningless and have been committed as baselines by accident before.
+/// meaningless, and their ratio floors fail or pass for the wrong reason.
 /// Set TURBO_ALLOW_DEBUG_BENCH=1 to downgrade the abort to a warning
 /// (for smoke-testing bench code paths, never for recording).
 void RequireReleaseBuild();

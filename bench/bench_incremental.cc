@@ -25,9 +25,8 @@
 // base + delta chain + WAL tail and CHECKing the result bit-identical
 // to the uncrashed writer.
 //
-// Writes BENCH_incremental.json (consumed by
-// scripts/check_bench_regression.py; `hardware_threads` recorded so the
-// gate skips on mismatched boxes).
+// Writes BENCH_incremental.json; the run fails (exit 1) when either
+// acceptance number misses its bar.
 //
 //   ./bench_incremental [--users=N] [--seed_logs=K] [--seed_days=D]
 //                       [--epochs=E] [--cohort=block|spread]

@@ -4,6 +4,12 @@
 // training.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "bn/builder.h"
 #include "features/stat_features.h"
@@ -12,19 +18,6 @@
 using namespace turbo;
 
 namespace {
-
-void BM_MatMul(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  auto a = la::Matrix::Randn(n, n, &rng);
-  auto b = la::Matrix::Randn(n, n, &rng);
-  for (auto _ : state) {
-    auto c = la::MatMul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
 
 // The pre-optimization GEMM, kept verbatim as the "before" number for
 // the blocked scalar kernel (la/kernels_scalar.cc): serial ikj with a
@@ -69,14 +62,24 @@ void BM_MatMulTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransB)->Arg(64)->Arg(256);
 
+// The SIMD floor cells run their kernels on the calling thread, as the
+// serving path does: on the shared pool, wake-ups on a busy host enter
+// the real time and the floor ratio then measures the scheduler.
+class OneKernelThread {
+ public:
+  OneKernelThread() { la::SetKernelThreads(1); }
+  ~OneKernelThread() { la::SetKernelThreads(0); }
+};
+
 // SIMD dispatch cells: the same GEMM through la::dispatch on the best
-// host tier vs forced scalar. check_bench_regression.py holds
-// dispatch/256 to >= 3x scalar/256 whenever the host has a SIMD tier.
+// host tier vs forced scalar. main() fails the run when dispatch/256 is
+// under 3x scalar/256 on a host with a SIMD tier (kSimdFloors).
 void BM_MatMulDispatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(1);
   auto a = la::Matrix::Randn(n, n, &rng);
   auto b = la::Matrix::Randn(n, n, &rng);
+  OneKernelThread one_thread;
   for (auto _ : state) {
     auto c = la::dispatch::MatMul(a, b);
     benchmark::DoNotOptimize(c.data());
@@ -92,6 +95,7 @@ void BM_MatMulScalar(benchmark::State& state) {
   auto a = la::Matrix::Randn(n, n, &rng);
   auto b = la::Matrix::Randn(n, n, &rng);
   la::ScopedKernelIsa scalar(la::KernelIsa::kScalar);
+  OneKernelThread one_thread;
   for (auto _ : state) {
     auto c = la::dispatch::MatMul(a, b);
     benchmark::DoNotOptimize(c.data());
@@ -99,25 +103,6 @@ void BM_MatMulScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatMulScalar)->Arg(64)->Arg(256);
-
-void BM_SpMM(benchmark::State& state) {
-  const size_t n = 20000, nnz = 200000, d = 32;
-  Rng rng(2);
-  std::vector<la::Triplet> trips;
-  trips.reserve(nnz);
-  for (size_t i = 0; i < nnz; ++i) {
-    trips.push_back({static_cast<uint32_t>(rng.NextUint(n)),
-                     static_cast<uint32_t>(rng.NextUint(n)), 1.0f});
-  }
-  auto adj = la::SparseMatrix::FromTriplets(n, n, trips);
-  auto x = la::Matrix::Randn(n, d, &rng);
-  for (auto _ : state) {
-    auto y = adj.Multiply(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * adj.nnz() * d);
-}
-BENCHMARK(BM_SpMM);
 
 /// CSR fixture shared by the dispatched SpMM cells.
 const la::SparseMatrix& SharedSparse() {
@@ -135,13 +120,14 @@ const la::SparseMatrix& SharedSparse() {
   return adj;
 }
 
-// Dispatched SpMM, best tier vs forced scalar; the regression gate holds
-// dispatch to >= 2x scalar on SIMD hosts.
+// Dispatched SpMM, best tier vs forced scalar; main() fails the run when
+// dispatch is under 2x scalar on a host with a SIMD tier (kSimdFloors).
 void BM_SpMMDispatch(benchmark::State& state) {
   const size_t d = 32;
   const auto& adj = SharedSparse();
   Rng rng(3);
   auto x = la::Matrix::Randn(adj.cols(), d, &rng);
+  OneKernelThread one_thread;
   for (auto _ : state) {
     auto y = la::dispatch::Spmm(adj, x);
     benchmark::DoNotOptimize(y.data());
@@ -157,6 +143,7 @@ void BM_SpMMScalar(benchmark::State& state) {
   Rng rng(3);
   auto x = la::Matrix::Randn(adj.cols(), d, &rng);
   la::ScopedKernelIsa scalar(la::KernelIsa::kScalar);
+  OneKernelThread one_thread;
   for (auto _ : state) {
     auto y = la::dispatch::Spmm(adj, x);
     benchmark::DoNotOptimize(y.data());
@@ -338,21 +325,81 @@ void BM_GbdtFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
 
+// Within-run SIMD floors: the dispatched cell must be at least `floor`
+// times faster than the forced-scalar cell of the same run.
+struct SimdFloor {
+  const char* simd;
+  const char* scalar;
+  double floor;
+};
+constexpr SimdFloor kSimdFloors[] = {
+    {"BM_MatMulDispatch/256", "BM_MatMulScalar/256", 3.0},
+    {"BM_SpMMDispatch", "BM_SpMMScalar", 2.0},
+};
+
+// Display reporter that forwards to the one the --benchmark_format and
+// --benchmark_color flags select, keeping each cell's real time per
+// iteration, in seconds, for the floors.
+class RealTimeReporter : public benchmark::BenchmarkReporter {
+ public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type == Run::RT_Iteration && run.iterations > 0) {
+        real_s_[run.benchmark_name()] =
+            run.real_accumulated_time / static_cast<double>(run.iterations);
+      }
+    }
+    display_->ReportRuns(runs);
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  const std::map<std::string, double>& real_s() const { return real_s_; }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_{
+      benchmark::CreateDefaultDisplayReporter()};
+  std::map<std::string, double> real_s_;
+};
+
 }  // namespace
 
 // Custom main (instead of BENCHMARK_MAIN) so the run is Release-gated
-// like every other bench and the JSON context records which kernel ISA
-// the dispatch cells ran on — check_bench_regression.py keys its SIMD
-// floor gates on "turbo_best_isa" and skips them on scalar-only hosts.
+// like every other bench and the exit code carries the SIMD floors. The
+// floors are skipped on hosts whose best ISA is scalar (nothing to
+// vectorize with) and for cells a --benchmark_filter left out. Their
+// verdicts go to stderr, so a --benchmark_format=json stdout stays JSON.
 int main(int argc, char** argv) {
   turbo::benchx::RequireReleaseBuild();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::AddCustomContext("turbo_best_isa",
-                              la::IsaName(la::BestIsa()));
-  benchmark::AddCustomContext("turbo_active_isa",
-                              la::IsaName(la::ActiveIsa()));
-  benchmark::RunSpecifiedBenchmarks();
+  RealTimeReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return 0;
+
+  std::fflush(stdout);
+  const la::KernelIsa best = la::BestIsa();
+  if (best == la::KernelIsa::kScalar) {
+    std::fprintf(stderr, "best ISA is scalar: SIMD floors skipped\n");
+    return 0;
+  }
+  const auto& real_s = reporter.real_s();
+  bool ok = true;
+  for (const SimdFloor& f : kSimdFloors) {
+    const auto simd = real_s.find(f.simd);
+    const auto scalar = real_s.find(f.scalar);
+    if (simd == real_s.end() || scalar == real_s.end()) continue;
+    const double speedup = scalar->second / simd->second;
+    const bool pass = speedup >= f.floor;
+    std::fprintf(stderr,
+                 "SIMD floor [%s] %s vs %s: %.2fx (floor %.1fx) [%s]\n",
+                 la::IsaName(best), f.simd, f.scalar, speedup, f.floor,
+                 pass ? "ok" : "BELOW FLOOR");
+    ok = ok && pass;
+  }
+  return ok ? 0 : 1;
 }

@@ -12,7 +12,7 @@
 //   reship no-op  cursor rounds/s over an already-converged replica —
 //                 the steady-state cost of the Stat-based ack protocol.
 //
-// Writes BENCH_net.json (consumed by scripts/check_bench_regression.py).
+// Writes BENCH_net.json.
 //
 //   ./bench_net [--small_calls=N] [--large_calls=N] [--ship_mb=M]
 //               [--dir=STATE_DIR] [--out=BENCH_net.json]

@@ -23,13 +23,9 @@
 //    absorb the excess instead of collapsing into queueing death.
 //    Ratio-based, so it holds on any core count and is always fatal.
 //
-// Writes BENCH_load.json (consumed by scripts/check_bench_regression.py;
-// `hardware_threads` is recorded so the gate skips itself on a
-// different core count, and multi-worker cells carry /tN/ labels so the
-// single-core parallel-cell skip drops them on a 1-core runner).
-// `p99_headroom` is SLO/p99 clamped to 2.0: deep-sub-SLO noise
-// saturates at the clamp while a p99 creeping toward the SLO pulls the
-// gated value down.
+// Writes BENCH_load.json. `p99_headroom` is SLO/p99 clamped to 2.0:
+// deep-sub-SLO noise saturates at the clamp while a p99 creeping toward
+// the SLO pulls the value down.
 //
 //   ./bench_open_loop [--users=N] [--epochs=E] [--duration_s=D]
 //                     [--slo_ms=S] [--ingest_factor=F]
@@ -209,8 +205,7 @@ int Main(int argc, char** argv) {
 
   std::vector<LoadRun> runs;
   // Sub-saturation cells: the SLO gate. Overload cell: the goodput
-  // floor. The workers=2 cell exercises multi-worker draining; its /t2/
-  // labels are skipped by the regression gate on a 1-core box.
+  // floor. The workers=2 cell exercises multi-worker draining.
   // Gated rates sit well below effective saturation: the closed-loop
   // capacity is measured at a full batch of 8 with no co-running
   // ingest/generator threads, so the open-loop stack saturates at

@@ -13,9 +13,7 @@
 // be >= 10x faster than the cold rebuild — the checkpoint load is
 // O(state), not O(history), and the WAL tail is one window of traffic.
 //
-// Writes BENCH_recovery.json (consumed by
-// scripts/check_bench_regression.py; `hardware_threads` recorded so the
-// gate skips on mismatched boxes).
+// Writes BENCH_recovery.json; the run fails (exit 1) below the 10x bar.
 //
 //   ./bench_recovery [--users=N] [--logs=K] [--days=D] [--rounds=R]
 //                    [--dir=STATE_DIR] [--out=BENCH_recovery.json]

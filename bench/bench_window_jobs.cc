@@ -18,8 +18,7 @@
 // single core that win comes from hierarchical bucket reuse, which is
 // thread-count independent.
 //
-// Writes BENCH_window.json (consumed by scripts/check_bench_regression.py;
-// `hardware_threads` recorded so the gate skips on mismatched boxes).
+// Writes BENCH_window.json; the run fails (exit 1) below the 3x bar.
 //
 //   ./bench_window_jobs [--users=N] [--logs=K] [--days=D] [--rounds=R]
 //                       [--out=BENCH_window.json]

@@ -11,29 +11,15 @@ REPO_ROOT="$(cd "$(dirname "$0")" && pwd)"
 
 # Release is required: the bench binaries hard-fail from non-Release
 # build dirs (see benchx::RequireReleaseBuild), so a recording run from
-# an unoptimized build aborts instead of committing garbage baselines.
+# an unoptimized build aborts instead of recording garbage numbers.
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" 2>&1 \
   | tee "$REPO_ROOT/test_output.txt"
 
+# Benches write their BENCH_*.json to the cwd; one that misses its floor
+# exits non-zero and aborts the recording run.
 for b in "$BUILD_DIR"/bench/*; do
   [ -x "$b" ] || continue
-  case "$(basename "$b")" in
-    bench_net)
-      # Loopback RPC round-trip + streaming WAL-ship throughput; writes
-      # straight to the committed baseline path like bench_open_loop.
-      "$b" --out="$REPO_ROOT/BENCH_net.json"
-      ;;
-    bench_open_loop)
-      # Writes the open-loop rate sweep straight to the committed
-      # baseline path (the other benches write relative to the cwd);
-      # the bench self-gates via its exit code, so a sub-saturation SLO
-      # violation or overload goodput collapse aborts the recording run.
-      "$b" --out="$REPO_ROOT/BENCH_load.json"
-      ;;
-    *)
-      "$b"
-      ;;
-  esac
+  "$b"
 done 2>&1 | tee "$REPO_ROOT/bench_output.txt"

@@ -20,8 +20,8 @@ GraphBatch MakeGraphBatch(const bn::Subgraph& sg,
 
   // Per-type adjacency.
   for (int t = 0; t < kNumEdgeTypes; ++t) {
-    batch.type_adj[t] = la::SparseMatrix::FromTriplets(n, n, sg.edges[t]);
-    batch.type_mean[t] = batch.type_adj[t].RowNormalized();
+    batch.type_mean[t] =
+        la::SparseMatrix::FromTriplets(n, n, sg.edges[t]).RowNormalized();
   }
 
   // Union graph: merge triplets across types.
@@ -32,8 +32,8 @@ GraphBatch MakeGraphBatch(const bn::Subgraph& sg,
   for (const auto& e : sg.edges) {
     all_edges.insert(all_edges.end(), e.begin(), e.end());
   }
-  batch.union_adj = la::SparseMatrix::FromTriplets(n, n, all_edges);
-  batch.union_mean = batch.union_adj.RowNormalized();
+  batch.union_mean =
+      la::SparseMatrix::FromTriplets(n, n, all_edges).RowNormalized();
 
   // Self-loop variants.
   std::vector<la::Triplet> with_self = all_edges;

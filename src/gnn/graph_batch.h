@@ -28,14 +28,11 @@ struct GraphBatch {
 
   /// Per-edge-type weighted adjacency, row-normalized to a weighted mean.
   std::array<la::SparseMatrix, kNumEdgeTypes> type_mean;
-  /// Per-edge-type raw weighted adjacency (influence analysis, stats).
-  std::array<la::SparseMatrix, kNumEdgeTypes> type_adj;
 
-  /// Union across types, weights summed.
-  la::SparseMatrix union_adj;
   /// Random-walk normalized union with self-loops: D^-1 (A + I).
   la::SparseMatrix union_rw_self;
-  /// Row-normalized union without self-loops (mean aggregator).
+  /// Union across types (weights summed), row-normalized, without
+  /// self-loops (mean aggregator).
   la::SparseMatrix union_mean;
   /// Union structure including self-loops, unit values (GAT attention).
   la::SparseMatrix union_self_structure;

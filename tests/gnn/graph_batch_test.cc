@@ -36,12 +36,12 @@ TEST(GraphBatchTest, GathersFeaturesByGlobalId) {
 
 TEST(GraphBatchTest, TypeAdjacenciesSeparate) {
   auto batch = MakeGraphBatch(MakeSubgraph(), MakeFeatures());
-  EXPECT_EQ(batch.type_adj[0].nnz(), 2u);
-  EXPECT_EQ(batch.type_adj[1].nnz(), 2u);
-  EXPECT_EQ(batch.type_adj[2].nnz(), 0u);
-  la::Matrix d0 = batch.type_adj[0].ToDense();
-  EXPECT_FLOAT_EQ(d0(0, 1), 2.0f);
-  EXPECT_FLOAT_EQ(d0(1, 2), 0.0f);
+  EXPECT_EQ(batch.type_mean[0].nnz(), 2u);
+  EXPECT_EQ(batch.type_mean[1].nnz(), 2u);
+  EXPECT_EQ(batch.type_mean[2].nnz(), 0u);
+  la::Matrix d0 = batch.type_mean[0].ToDense();
+  EXPECT_FLOAT_EQ(d0(0, 1), 1.0f);  // node 0's only type-0 neighbor
+  EXPECT_FLOAT_EQ(d0(1, 2), 0.0f);  // (1,2) is a type-1 edge
 }
 
 TEST(GraphBatchTest, TypeMeanRowsNormalized) {
@@ -54,10 +54,13 @@ TEST(GraphBatchTest, TypeMeanRowsNormalized) {
 
 TEST(GraphBatchTest, UnionMergesTypes) {
   auto batch = MakeGraphBatch(MakeSubgraph(), MakeFeatures());
-  la::Matrix u = batch.union_adj.ToDense();
-  EXPECT_FLOAT_EQ(u(0, 1), 2.0f);
-  EXPECT_FLOAT_EQ(u(1, 2), 4.0f);
-  EXPECT_FLOAT_EQ(u(1, 0), 2.0f);
+  la::Matrix u = batch.union_mean.ToDense();
+  // Node 1 has a type-0 edge to node 0 (w=2) and a type-1 edge to node 2
+  // (w=4): the union row weighs both.
+  EXPECT_FLOAT_EQ(u(1, 0), 1.0f / 3.0f);
+  EXPECT_FLOAT_EQ(u(1, 2), 2.0f / 3.0f);
+  EXPECT_FLOAT_EQ(u(1, 1), 0.0f);
+  EXPECT_FLOAT_EQ(u(0, 1), 1.0f);
 }
 
 TEST(GraphBatchTest, RwSelfIncludesSelfLoopAndNormalizes) {
@@ -87,7 +90,7 @@ TEST(GraphBatchTest, SingletonSubgraph) {
   sg.local = {{5, 0}};
   auto batch = MakeGraphBatch(sg, MakeFeatures());
   EXPECT_EQ(batch.num_nodes(), 1u);
-  EXPECT_EQ(batch.union_adj.nnz(), 0u);
+  EXPECT_EQ(batch.union_mean.nnz(), 0u);
   // Self-loop keeps GCN aggregation well-defined.
   EXPECT_EQ(batch.union_rw_self.nnz(), 1u);
   EXPECT_FLOAT_EQ(batch.union_rw_self.ToDense()(0, 0), 1.0f);
