@@ -71,8 +71,8 @@ class OneKernelThread {
   ~OneKernelThread() { la::SetKernelThreads(0); }
 };
 
-// SIMD dispatch cells: the same GEMM through la::dispatch on the best
-// host tier vs forced scalar. main() fails the run when dispatch/256 is
+// SIMD dispatch cells: the same GEMM through la::dispatch on the active
+// tier vs forced scalar. main() fails the run when dispatch/256 is
 // under 3x scalar/256 on a host with a SIMD tier (kSimdFloors).
 void BM_MatMulDispatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -371,8 +371,10 @@ class RealTimeReporter : public benchmark::BenchmarkReporter {
 // Custom main (instead of BENCHMARK_MAIN) so the run is Release-gated
 // like every other bench and the exit code carries the SIMD floors. The
 // floors are skipped on hosts whose best ISA is scalar (nothing to
-// vectorize with) and for cells a --benchmark_filter left out. Their
-// verdicts go to stderr, so a --benchmark_format=json stdout stays JSON.
+// vectorize with) and for cells a --benchmark_filter left out, but not
+// when TURBO_KERNEL_ISA forces scalar on a SIMD host: that run fails.
+// Each verdict names the tier the dispatched cells ran on, and goes to
+// stderr, so a --benchmark_format=json stdout stays JSON.
 int main(int argc, char** argv) {
   turbo::benchx::RequireReleaseBuild();
   benchmark::Initialize(&argc, argv);
@@ -382,8 +384,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   std::fflush(stdout);
-  const la::KernelIsa best = la::BestIsa();
-  if (best == la::KernelIsa::kScalar) {
+  if (la::BestIsa() == la::KernelIsa::kScalar) {
     std::fprintf(stderr, "best ISA is scalar: SIMD floors skipped\n");
     return 0;
   }
@@ -397,8 +398,8 @@ int main(int argc, char** argv) {
     const bool pass = speedup >= f.floor;
     std::fprintf(stderr,
                  "SIMD floor [%s] %s vs %s: %.2fx (floor %.1fx) [%s]\n",
-                 la::IsaName(best), f.simd, f.scalar, speedup, f.floor,
-                 pass ? "ok" : "BELOW FLOOR");
+                 la::IsaName(la::ActiveIsa()), f.simd, f.scalar, speedup,
+                 f.floor, pass ? "ok" : "BELOW FLOOR");
     ok = ok && pass;
   }
   return ok ? 0 : 1;

@@ -85,38 +85,23 @@ struct EngineResult {
   double speedup = 1.0;  // vs serial
 };
 
-/// Runs the full live-server job schedule (every window, every epoch,
-/// global epoch-time order, ties to the smaller window) against a
-/// pre-indexed LogStore. Returns wall seconds; fills updates/jobs and
-/// leaves the built graph in `edges`.
+/// Runs the full live-server job schedule (BnBuilder::RunDueJobs: every
+/// window, every epoch, global epoch-time order, ties to the smaller
+/// window) against a pre-indexed LogStore. Returns wall seconds; fills
+/// updates/jobs and leaves the built graph in `edges`.
 double RunSchedule(const storage::LogStore& store, const bn::BnConfig& cfg,
                    util::ThreadPool* pool, storage::EdgeStore* edges,
                    size_t* updates, size_t* jobs, SimTime cap) {
   bn::BnBuilder builder(cfg, edges);
   builder.SetThreadPool(pool);
+  obs::MetricsRegistry metrics;
+  builder.SetMetrics(&metrics);
   std::vector<SimTime> last_end(cfg.windows.size(), 0);
-  *updates = 0;
-  *jobs = 0;
   Stopwatch sw;
-  for (;;) {
-    int best = -1;
-    SimTime best_end = 0;
-    for (size_t i = 0; i < cfg.windows.size(); ++i) {
-      const SimTime next = last_end[i] + cfg.windows[i];
-      if (next > cap) continue;
-      if (best < 0 || next < best_end) {
-        best = static_cast<int>(i);
-        best_end = next;
-      }
-    }
-    if (best < 0) break;
-    *updates += builder.RunWindowJob(store, cfg.windows[best], best_end);
-    last_end[best] = best_end;
-    ++*jobs;
-    builder.EvictCachedBuckets(
-        *std::min_element(last_end.begin(), last_end.end()));
-  }
-  return sw.ElapsedSeconds();
+  *jobs = builder.RunDueJobs(store, cap, &last_end);
+  const double secs = sw.ElapsedSeconds();
+  *updates = metrics.GetCounter("bn_window_edge_updates_total")->value();
+  return secs;
 }
 
 void CheckIdentical(const storage::EdgeStore& a, const storage::EdgeStore& b,

@@ -29,6 +29,9 @@ BnBuilder::BnBuilder(BnConfig config, storage::EdgeStore* edges)
 
 void BnBuilder::SetMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
+  job_ms_ = metrics->GetHistogram("bn_window_job_ms");
+  jobs_ = metrics->GetCounter("bn_window_jobs_total");
+  edge_updates_ = metrics->GetCounter("bn_window_edge_updates_total");
   shard_ms_ = metrics->GetHistogram("bn_window_shard_ms");
   shard_keys_ = metrics->GetHistogram(
       "bn_window_shard_keys", obs::Histogram::LinearBuckets(0.0, 64.0, 65));
@@ -213,6 +216,38 @@ size_t BnBuilder::RunWindowJob(const storage::LogStore& store,
   return updates;
 }
 
+size_t BnBuilder::RunDueJobs(const storage::LogStore& store, SimTime until,
+                             std::vector<SimTime>* last_end) {
+  const size_t num_windows = config_.windows.size();
+  TURBO_CHECK_EQ(last_end->size(), num_windows);
+  size_t jobs = 0;
+  for (;;) {
+    int best = -1;
+    SimTime best_end = 0;
+    for (size_t i = 0; i < num_windows; ++i) {
+      const SimTime next = (*last_end)[i] + config_.windows[i];
+      if (next > until) continue;
+      if (best < 0 || next < best_end) {
+        best = static_cast<int>(i);
+        best_end = next;
+      }
+    }
+    if (best < 0) break;
+    Stopwatch job_sw;
+    const size_t updates =
+        RunWindowJob(store, config_.windows[best], best_end);
+    if (job_ms_ != nullptr) {
+      job_ms_->Observe(job_sw.ElapsedMillis());
+      jobs_->Increment();
+      edge_updates_->Increment(updates);
+    }
+    (*last_end)[best] = best_end;
+    ++jobs;
+    EvictCachedBuckets(*std::min_element(last_end->begin(), last_end->end()));
+  }
+  return jobs;
+}
+
 void BnBuilder::BuildFromLogs(const BehaviorLogList& logs) {
   // Replay the live schedule offline: index the logs once, then run every
   // (window, epoch) job in global epoch-time order — exactly the order a
@@ -237,30 +272,12 @@ void BnBuilder::BuildFromLogs(const BehaviorLogList& logs) {
   // trailing jobs past the data are empty (and nearly free), but their
   // base-bucket entries keep the merge path complete for the larger
   // windows' final epochs.
-  const size_t num_windows = config_.windows.size();
   SimTime cap = 0;
   for (SimTime w : config_.windows) {
     cap = std::max(cap, EpochIndex(max_t, w) * w);
   }
-  std::vector<SimTime> last_end(num_windows, 0);
-  for (;;) {
-    // Earliest due job; ties go to the smaller window so base-window
-    // buckets are cached before the jobs that merge them.
-    int best = -1;
-    SimTime best_end = 0;
-    for (size_t i = 0; i < num_windows; ++i) {
-      const SimTime next = last_end[i] + config_.windows[i];
-      if (next > cap) continue;
-      if (best < 0 || next < best_end) {
-        best = static_cast<int>(i);
-        best_end = next;
-      }
-    }
-    if (best < 0) break;
-    RunWindowJob(store, config_.windows[best], best_end);
-    last_end[best] = best_end;
-    EvictCachedBuckets(*std::min_element(last_end.begin(), last_end.end()));
-  }
+  std::vector<SimTime> last_end(config_.windows.size(), 0);
+  RunDueJobs(store, cap, &last_end);
   base_buckets_.clear();
   cache_bytes_ = 0;
   // Offline builds have no incremental consumers; drop the churn the

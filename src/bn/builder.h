@@ -98,10 +98,11 @@ class BnBuilder {
   /// serially on the calling thread. The pool is borrowed, not owned.
   void SetThreadPool(util::ThreadPool* pool) { pool_ = pool; }
 
-  /// Registry receiving per-shard job metrics (bn_window_shard_*,
-  /// bn_window_merge_ms, bucket-cache counters). Optional; nullptr
-  /// disables reporting. Handles are resolved once here, so the call
-  /// must precede the first job.
+  /// Registry receiving the job metrics (bn_window_job_ms,
+  /// bn_window_jobs_total, bn_window_edge_updates_total, per-shard
+  /// bn_window_shard_*, bn_window_merge_ms, bucket-cache counters).
+  /// Optional; nullptr disables reporting. Handles are resolved once
+  /// here, so the call must precede the first job.
   void SetMetrics(obs::MetricsRegistry* metrics);
 
   /// Offline batch construction over a full log list (experiments).
@@ -118,6 +119,18 @@ class BnBuilder {
   /// number of edge-weight updates applied (observability).
   size_t RunWindowJob(const storage::LogStore& store, SimTime window,
                       SimTime epoch_end);
+
+  /// Algorithm 1's job schedule, shared by BuildFromLogs and the live
+  /// server: runs every (window, epoch) job that ends at or before
+  /// `until`, in global epoch-time order with ties to the smaller window,
+  /// so base-window buckets are cached right before the larger windows
+  /// that merge them. After every job the cache is evicted to the slowest
+  /// window's frontier, which keeps it bounded by the largest window
+  /// rather than the gap being caught up. `last_end[i]` is the epoch end
+  /// of window i's last job and advances in place. Returns the number of
+  /// jobs run.
+  size_t RunDueJobs(const storage::LogStore& store, SimTime until,
+                    std::vector<SimTime>* last_end);
 
   /// Expires edges older than `now - edge_ttl`. Returns edges removed.
   /// Expired-edge endpoints are recorded in the pending churn set.
@@ -255,6 +268,9 @@ class BnBuilder {
       base_buckets_;
 
   // Metric handles (null when SetMetrics was not called).
+  obs::Histogram* job_ms_ = nullptr;
+  obs::Counter* jobs_ = nullptr;
+  obs::Counter* edge_updates_ = nullptr;
   obs::Histogram* shard_ms_ = nullptr;
   obs::Histogram* shard_keys_ = nullptr;
   obs::Histogram* merge_ms_ = nullptr;

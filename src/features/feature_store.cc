@@ -2,12 +2,22 @@
 
 namespace turbo::features {
 
+namespace {
+
+// The profile database is a networked SQL store; the Section V cache
+// layer mirrors it (and the raw logs) in a Redis-like memory store.
+constexpr storage::MediumCost kDbCost = storage::MediumCost::NetworkedSql();
+constexpr storage::MediumCost kCacheCost =
+    storage::MediumCost::InMemoryCache();
+
+}  // namespace
+
 FeatureStore::FeatureStore(FeatureStoreConfig config,
                            const storage::LogStore* logs)
     : config_(config),
       logs_(logs),
-      profiles_(config.db_cost),
-      cache_(config.cache_capacity, config.cache_cost) {
+      profiles_(kDbCost),
+      cache_(config.cache_capacity, kCacheCost) {
   TURBO_CHECK(logs_ != nullptr);
 }
 
@@ -27,8 +37,7 @@ std::vector<float> FeatureStore::GetFeatures(UserId uid, SimTime as_of,
   std::lock_guard<std::mutex> lock(mu_);
   // Rows are metered locally, then charged at the medium the active
   // configuration serves them from (SQL vs in-memory mirror).
-  const storage::MediumCost& medium =
-      config_.use_cache ? config_.cache_cost : config_.db_cost;
+  const storage::MediumCost& medium = config_.use_cache ? kCacheCost : kDbCost;
   storage::SimClock meter;
   auto profile = profiles_.Get(uid, &meter);
   if (clock) clock->ChargeQuery(medium, 1);

@@ -28,8 +28,6 @@ namespace turbo::features {
 struct FeatureStoreConfig {
   bool use_cache = true;
   size_t cache_capacity = 100000;
-  storage::MediumCost db_cost = storage::MediumCost::NetworkedSql();
-  storage::MediumCost cache_cost = storage::MediumCost::InMemoryCache();
 };
 
 class FeatureStore {

@@ -16,7 +16,6 @@ CpuFeatures Probe() {
   // accounts for OS XSAVE support of the wide register files.
   f.avx2 = __builtin_cpu_supports("avx2");
   f.fma = __builtin_cpu_supports("fma");
-  f.avx512f = __builtin_cpu_supports("avx512f");
 #endif
   return f;
 }
@@ -27,12 +26,6 @@ bool CompiledIsa(KernelIsa isa) {
       return true;
     case KernelIsa::kAvx2:
 #if defined(TURBO_LA_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case KernelIsa::kAvx512:
-#if defined(TURBO_LA_HAVE_AVX512)
       return true;
 #else
       return false;
@@ -75,16 +68,11 @@ bool IsaSupported(KernelIsa isa) {
       return true;
     case KernelIsa::kAvx2:
       return f.avx2 && f.fma;
-    case KernelIsa::kAvx512:
-      return f.avx512f;
   }
   return false;
 }
 
 KernelIsa BestIsa(const CpuFeatures& features) {
-  if (features.avx512f && CompiledIsa(KernelIsa::kAvx512)) {
-    return KernelIsa::kAvx512;
-  }
   if (features.avx2 && features.fma && CompiledIsa(KernelIsa::kAvx2)) {
     return KernelIsa::kAvx2;
   }
@@ -119,8 +107,6 @@ const char* IsaName(KernelIsa isa) {
       return "scalar";
     case KernelIsa::kAvx2:
       return "avx2";
-    case KernelIsa::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -130,8 +116,6 @@ bool ParseIsaName(const std::string& name, KernelIsa* out) {
     *out = KernelIsa::kScalar;
   } else if (name == "avx2") {
     *out = KernelIsa::kAvx2;
-  } else if (name == "avx512") {
-    *out = KernelIsa::kAvx512;
   } else if (name == "auto") {
     *out = BestIsa();
   } else {

@@ -1,19 +1,19 @@
 // Runtime CPU-capability probe and kernel-ISA selection.
 //
-// The SIMD kernel tiers (see kernel_dispatch.h) are compiled per-file
-// with the matching -m flags and picked at runtime: CpuFeatures::Get()
-// probes the host once (cpuid-backed __builtin_cpu_supports on x86; every
-// other architecture runs the scalar tier), BestIsa() maps the probe to
-// the widest tier this binary both compiled and the host supports, and
-// the kernel table resolves against that choice the first time a
-// dispatched kernel runs.
+// Two kernel tiers exist: scalar, and AVX2+FMA compiled per-file with the
+// matching -m flags (see kernel_dispatch.h). CpuFeatures::Get() probes
+// the host once (cpuid-backed __builtin_cpu_supports on x86; every other
+// architecture runs the scalar tier), BestIsa() maps the probe to the
+// widest tier this binary both compiled and the host supports, and the
+// kernel table resolves against that choice the first time a dispatched
+// kernel runs.
 //
 // Every tier is overridable for testing: SetKernelIsa() forces a
-// specific tier (so one AVX-512 machine can exercise the scalar, AVX2,
-// and AVX-512 paths in a single test binary), and the TURBO_KERNEL_ISA
-// environment variable ("scalar" | "avx2" | "avx512" | "auto") applies
-// the same override at process start. Forcing a tier the host cannot
-// execute is a CHECK failure, not an illegal instruction.
+// specific tier (so one AVX2 machine can exercise both paths in a single
+// test binary), and the TURBO_KERNEL_ISA environment variable
+// ("scalar" | "avx2" | "auto") applies the same override at process
+// start. An unknown name, or a tier the host cannot execute, is a CHECK
+// failure, not an illegal instruction.
 //
 // The training path never consults this: the plain la:: kernels autograd
 // calls always run the scalar table, whatever the active ISA, so
@@ -25,12 +25,11 @@
 namespace turbo::la {
 
 /// Kernel instruction-set tiers, narrowest first. kScalar is always
-/// available; the SIMD tiers exist only when the binary was compiled
-/// with the matching per-file flags AND the host CPU reports support.
+/// available; kAvx2 exists only when the binary was compiled with the
+/// per-file flags AND the host CPU reports support.
 enum class KernelIsa {
   kScalar = 0,
-  kAvx2 = 1,    // AVX2 + FMA (x86-64-v3)
-  kAvx512 = 2,  // AVX-512F (+FMA)
+  kAvx2 = 1,  // AVX2 + FMA (x86-64-v3)
 };
 
 /// One-time host probe. Fields are false on architectures where the
@@ -38,7 +37,6 @@ enum class KernelIsa {
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
-  bool avx512f = false;
 
   /// Probed once, cached for the process lifetime.
   static const CpuFeatures& Get();
@@ -63,7 +61,7 @@ void SetKernelIsa(KernelIsa isa);
 /// Drops any override and re-resolves from the environment / probe.
 void ResetKernelIsa();
 
-/// "scalar" | "avx2" | "avx512".
+/// "scalar" | "avx2".
 const char* IsaName(KernelIsa isa);
 
 /// Inverse of IsaName; also accepts "auto" (reported as BestIsa()).

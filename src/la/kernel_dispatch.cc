@@ -86,17 +86,6 @@ Matrix MatMulOn(const internal::KernelTable& t, const Matrix& a,
   return c;
 }
 
-Matrix MatMulTransBOn(const internal::KernelTable& t, const Matrix& a,
-                      const Matrix& b) {
-  TURBO_CHECK_EQ(a.cols(), b.cols());
-  Matrix c(a.rows(), b.rows());
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  ParallelRows(m, k * n, [&](size_t r0, size_t r1) {
-    t.gemm_transb_rows(a.data(), b.data(), c.data(), k, n, r0, r1);
-  });
-  return c;
-}
-
 Matrix SpmmOn(const internal::KernelTable& t, const SparseMatrix& s,
               const Matrix& x, const Matrix* addend, Act act, bool fused) {
   TURBO_CHECK_EQ(s.cols(), x.rows());
@@ -132,8 +121,39 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
                   /*fused=*/false);
 }
 
+// C = A * B^T has no kernel-table entry: nothing dispatches it, so its
+// row loop (C[r, j] = dot(A[r,:], B[j,:]), two columns of B per pass over
+// A's row) runs scalar under the same row-parallel driver.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  return MatMulTransBOn(internal::ScalarKernels(), a, b);
+  TURBO_CHECK_EQ(a.cols(), b.cols());
+  Matrix c(a.rows(), b.rows());
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  ParallelRows(m, k * n, [&](size_t r0, size_t r1) {
+    for (size_t i = r0; i < r1; ++i) {
+      const float* arow = a.data() + i * k;
+      float* crow = c.data() + i * n;
+      size_t j = 0;
+      for (; j + 1 < n; j += 2) {
+        const float* b0 = b.data() + j * k;
+        const float* b1 = b.data() + (j + 1) * k;
+        float s0 = 0.0f, s1 = 0.0f;
+        for (size_t p = 0; p < k; ++p) {
+          const float av = arow[p];
+          s0 += av * b0[p];
+          s1 += av * b1[p];
+        }
+        crow[j] = s0;
+        crow[j + 1] = s1;
+      }
+      if (j < n) {
+        const float* brow = b.data() + j * k;
+        float s = 0.0f;
+        for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
+        crow[j] = s;
+      }
+    }
+  });
+  return c;
 }
 
 Matrix SparseMatrix::Multiply(const Matrix& x) const {
@@ -159,12 +179,6 @@ const internal::KernelTable& ActiveTable() {
 #else
       break;
 #endif
-    case KernelIsa::kAvx512:
-#if defined(TURBO_LA_HAVE_AVX512)
-      return internal::Avx512Kernels();
-#else
-      break;
-#endif
   }
   return internal::ScalarKernels();
 }
@@ -179,10 +193,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 Matrix MatMulBiasAct(const Matrix& a, const Matrix& b, const Matrix* addend,
                      Act act) {
   return MatMulOn(ActiveTable(), a, b, addend, act, /*fused=*/true);
-}
-
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  return MatMulTransBOn(ActiveTable(), a, b);
 }
 
 Matrix Spmm(const SparseMatrix& s, const Matrix& x) {

@@ -3,15 +3,17 @@
 // The drivers in kernel_dispatch.cc own the blocking and row-parallel
 // threading of every GEMM and SpMM and route the inner row-range loops
 // through a per-ISA kernel table (kernel_table.h). The plain la:: kernels
-// (la::MatMul, la::MatMulTransB, SparseMatrix::Multiply) run them on the
-// scalar table; autograd and training call those, so training is
-// bit-exact across machines. The functions here run them on the table
-// selected by la::ActiveIsa() (see cpu_features.h) and add the fused
-// epilogues the tape-free inference forwards use. With KernelIsa::kScalar
-// forced, every function is bit-identical to its la:: counterpart because
-// both run the same loops; SIMD tiers keep the same accumulation order and
-// are held to a <= 4-ULP elementwise bound by tests/la/dispatch_test.cc
-// and tests/core/simd_equivalence_test.cc.
+// (la::MatMul, SparseMatrix::Multiply) run them on the scalar table;
+// autograd and training call those, so training is bit-exact across
+// machines. The functions here run them on the table selected by
+// la::ActiveIsa() (see cpu_features.h) and add the fused epilogues the
+// tape-free inference forwards use. With KernelIsa::kScalar forced, every
+// function is bit-identical to its la:: counterpart because both run the
+// same loops; the AVX2 tier keeps the same accumulation order and is held
+// to a <= 4-ULP elementwise bound by tests/la/dispatch_test.cc and
+// tests/core/simd_equivalence_test.cc. C = A * B^T has no dispatched form:
+// only the training backward calls it, through la::MatMulTransB, which
+// always runs scalar.
 #pragma once
 
 #include "la/cpu_features.h"
@@ -23,9 +25,6 @@ namespace turbo::la::dispatch {
 
 /// C = A * B, dispatched. Same contract as la::MatMul.
 Matrix MatMul(const Matrix& a, const Matrix& b);
-
-/// C = A * B^T, dispatched. Same contract as la::MatMulTransB.
-Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// Y = S * X, dispatched. Same contract as SparseMatrix::Multiply.
 Matrix Spmm(const SparseMatrix& s, const Matrix& x);

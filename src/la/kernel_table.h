@@ -1,10 +1,11 @@
-// Internal function-pointer kernel table behind every dense/sparse product.
+// Internal function-pointer kernel table behind the products the
+// inference forwards dispatch.
 //
-// Each ISA tier (kernels_scalar.cc, kernels_avx2.cc, kernels_avx512.cc)
-// fills one KernelTable with raw-pointer row-range microkernels; the
-// drivers in kernel_dispatch.cc own the blocking / thread-pool structure
-// and call through the table for the inner loops. The plain la:: kernels
-// run the drivers on the scalar table, la::dispatch on the active one.
+// Each ISA tier (kernels_scalar.cc, kernels_avx2.cc) fills one
+// KernelTable with raw-pointer row-range microkernels; the drivers in
+// kernel_dispatch.cc own the blocking / thread-pool structure and call
+// through the table for the inner loops. The plain la:: kernels run the
+// drivers on the scalar table, la::dispatch on the active one.
 // Keeping the outer structure ISA-independent is what makes the tiers
 // ULP-comparable: every tier accumulates each output element in exactly
 // the same order (depth-sequential, rows never split), so the only
@@ -13,8 +14,6 @@
 // Contract per entry (all matrices row-major, fully packed):
 //  * gemm_rows:    C[r,:] += A[r, p0:p1] * B[p0:p1, :] for r in [r0,r1).
 //                  lda == k, ldb == ldc == n.
-//  * gemm_transb_rows: C[r, j] = dot(A[r,:], B[j,:]) for r in [r0,r1),
-//                  all j in [0,n). A is [m,k], B is [n,k].
 //  * spmm_rows:    Y[r,:] += sum_e vals[e] * X[cols[e],:] over the CSR
 //                  entries of row r, rows in [r0,r1). X/Y have n cols.
 //  * epilogue_rows: C[r,:] = act(C[r,:] + add[r*add_stride ..]) for r in
@@ -45,8 +44,6 @@ namespace internal {
 struct KernelTable {
   void (*gemm_rows)(const float* a, const float* b, float* c, size_t k,
                     size_t n, size_t r0, size_t r1, size_t p0, size_t p1);
-  void (*gemm_transb_rows)(const float* a, const float* b, float* c,
-                           size_t k, size_t n, size_t r0, size_t r1);
   void (*spmm_rows)(const uint32_t* row_ptr, const uint32_t* cols,
                     const float* vals, const float* x, float* y, size_t n,
                     size_t r0, size_t r1);
@@ -56,13 +53,12 @@ struct KernelTable {
 };
 
 /// Scalar tier; always present. The plain la:: kernels (la::MatMul,
-/// la::MatMulTransB, SparseMatrix::Multiply) run on this table.
+/// SparseMatrix::Multiply) run on this table.
 const KernelTable& ScalarKernels();
 
-// SIMD tiers; declared unconditionally, defined only when the matching
-// TURBO_LA_HAVE_* flag compiled the TU. Callers gate on IsaSupported().
+/// AVX2 tier; declared unconditionally, defined only when
+/// TURBO_LA_HAVE_AVX2 compiled the TU. Callers gate on IsaSupported().
 const KernelTable& Avx2Kernels();
-const KernelTable& Avx512Kernels();
 
 /// Scalar activation shared by every tier's tail/transcendental paths.
 float ApplyAct(Act act, float x);

@@ -6,8 +6,7 @@
 // vector lanes span independent output columns wherever possible, and
 // the depth dimension advances sequentially — so the only rounding
 // difference vs scalar is FMA contraction (one rounding per
-// multiply-add instead of two) plus lane-wise horizontal sums in the
-// dot-product kernel. Both are covered by the <= 4-ULP dispatch gate
+// multiply-add instead of two), which the <= 4-ULP dispatch gate covers
 // (tests/la/dispatch_test.cc). kTanh / kSigmoid epilogues call the
 // scalar libm path on purpose: transcendental polynomial approximations
 // are where SIMD math libraries silently diverge, and the elementwise
@@ -60,55 +59,6 @@ void GemmRows(const float* a, const float* b, float* c, size_t k, size_t n,
     for (; j < n; ++j) {
       float s = crow[j];
       for (size_t p = p0; p < p1; ++p) s += arow[p] * b[p * n + j];
-      crow[j] = s;
-    }
-  }
-}
-
-inline float HSum(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-
-void GemmTransBRows(const float* a, const float* b, float* c, size_t k,
-                    size_t n, size_t r0, size_t r1) {
-  for (size_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    size_t j = 0;
-    for (; j + 1 < n; j += 2) {
-      const float* b0 = b + j * k;
-      const float* b1 = b + (j + 1) * k;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      size_t p = 0;
-      for (; p + 8 <= k; p += 8) {
-        const __m256 av = _mm256_loadu_ps(arow + p);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + p), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + p), acc1);
-      }
-      float s0 = HSum(acc0), s1 = HSum(acc1);
-      for (; p < k; ++p) {
-        s0 += arow[p] * b0[p];
-        s1 += arow[p] * b1[p];
-      }
-      crow[j] = s0;
-      crow[j + 1] = s1;
-    }
-    if (j < n) {
-      const float* brow = b + j * k;
-      __m256 acc = _mm256_setzero_ps();
-      size_t p = 0;
-      for (; p + 8 <= k; p += 8) {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
-                              _mm256_loadu_ps(brow + p), acc);
-      }
-      float s = HSum(acc);
-      for (; p < k; ++p) s += arow[p] * brow[p];
       crow[j] = s;
     }
   }
@@ -206,8 +156,8 @@ void MapAct(Act act, const float* in, float* out, size_t count) {
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
-  static const KernelTable table = {GemmRows, GemmTransBRows, SpmmRows,
-                                    EpilogueRows, MapAct};
+  static const KernelTable table = {GemmRows, SpmmRows, EpilogueRows,
+                                    MapAct};
   return table;
 }
 

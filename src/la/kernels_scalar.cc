@@ -1,10 +1,10 @@
 // Scalar kernel tier: the only tier training runs on, and the reference
-// every SIMD tier is ULP-gated against.
+// the AVX2 tier is ULP-gated against.
 //
-// The plain la:: kernels (la::MatMul, la::MatMulTransB,
-// SparseMatrix::Multiply) are this table driven by kernel_dispatch.cc, so
-// forcing KernelIsa::kScalar makes the dispatched inference kernels
-// bit-identical to the autograd/training kernels: both run these loops.
+// The plain la:: kernels (la::MatMul, SparseMatrix::Multiply) are this
+// table driven by kernel_dispatch.cc, so forcing KernelIsa::kScalar makes
+// the dispatched inference kernels bit-identical to the autograd/training
+// kernels: both run these loops.
 #include "la/kernel_table.h"
 #include "la/matrix.h"
 
@@ -35,33 +35,6 @@ void GemmRows(const float* a, const float* b, float* c, size_t k, size_t n,
       const float av = arow[p];
       const float* brow = b + p * n;
       for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void GemmTransBRows(const float* a, const float* b, float* c, size_t k,
-                    size_t n, size_t r0, size_t r1) {
-  for (size_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    size_t j = 0;
-    for (; j + 1 < n; j += 2) {
-      const float* b0 = b + j * k;
-      const float* b1 = b + (j + 1) * k;
-      float s0 = 0.0f, s1 = 0.0f;
-      for (size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-      }
-      crow[j] = s0;
-      crow[j + 1] = s1;
-    }
-    if (j < n) {
-      const float* brow = b + j * k;
-      float s = 0.0f;
-      for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      crow[j] = s;
     }
   }
 }
@@ -98,8 +71,8 @@ void MapAct(Act act, const float* in, float* out, size_t count) {
 }  // namespace
 
 const KernelTable& ScalarKernels() {
-  static const KernelTable table = {GemmRows, GemmTransBRows, SpmmRows,
-                                    EpilogueRows, MapAct};
+  static const KernelTable table = {GemmRows, SpmmRows, EpilogueRows,
+                                    MapAct};
   return table;
 }
 

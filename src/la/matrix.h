@@ -104,14 +104,14 @@ class Matrix {
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. Row-parallel on the shared
 /// thread pool above a flop threshold; the per-element accumulation
 /// order is independent of the thread count, so results are identical
-/// across serial and parallel runs. MatMul, MatMulTransB and
-/// SparseMatrix::Multiply are the scalar-tier instances of the drivers in
-/// kernel_dispatch.cc, the same loops la::dispatch runs under
-/// KernelIsa::kScalar.
+/// across serial and parallel runs. MatMul and SparseMatrix::Multiply are
+/// the scalar-tier instances of the drivers in kernel_dispatch.cc, the
+/// same loops la::dispatch runs under KernelIsa::kScalar.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 /// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n].
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
-/// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Row-parallel like MatMul.
+/// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Row-parallel like MatMul;
+/// scalar only, since no inference forward calls it.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// Caps the threads dense/sparse kernels may use (benches and tests pin

@@ -28,7 +28,7 @@ std::string CheckpointPath(const std::string& dir) {
 }  // namespace
 
 BnServer::BnServer(BnServerConfig config)
-    : config_(std::move(config)),  // logs_ reads config_.log_cost next
+    : config_(std::move(config)),
       builder_(config_.bn, &edges_),
       last_job_end_(config_.bn.windows.size(), 0) {
   TURBO_CHECK_GT(config_.num_users, 0);
@@ -40,13 +40,9 @@ BnServer::BnServer(BnServerConfig config)
     metrics_ = owned_metrics_.get();
   }
   ingest_events_ = metrics_->GetCounter("bn_ingest_events_total");
-  window_jobs_ = metrics_->GetCounter("bn_window_jobs_total");
-  window_edge_updates_ =
-      metrics_->GetCounter("bn_window_edge_updates_total");
   ttl_expired_edges_ = metrics_->GetCounter("bn_ttl_expired_edges_total");
   snapshot_builds_ = metrics_->GetCounter("bn_snapshot_builds_total");
   samples_ = metrics_->GetCounter("bn_samples_total");
-  window_job_ms_ = metrics_->GetHistogram("bn_window_job_ms");
   snapshot_build_ms_ = metrics_->GetHistogram("bn_snapshot_build_ms");
   sample_ms_ = metrics_->GetHistogram("bn_sample_ms");
   sample_nodes_ = metrics_->GetHistogram(
@@ -204,36 +200,9 @@ void BnServer::AdvanceTo(SimTime now) {
     TURBO_CHECK_MSG(s.ok(), "WAL flush failed: " << s.ToString());
   }
   now_.store(now, std::memory_order_relaxed);
-  // Run every completed epoch of every window since its last run, in
-  // global epoch-time order with ties to the smaller window: shorter
-  // windows naturally fire more often, and a catch-up after a long gap
-  // replays history hour-by-hour so base-window buckets are cached right
-  // before the larger windows that merge them (keeping the bucket cache
-  // bounded by the largest window rather than the gap length).
-  const size_t num_windows = config_.bn.windows.size();
-  for (;;) {
-    int best = -1;
-    SimTime best_end = 0;
-    for (size_t w = 0; w < num_windows; ++w) {
-      const SimTime next = last_job_end_[w] + config_.bn.windows[w];
-      if (next > now) continue;
-      if (best < 0 || next < best_end) {
-        best = static_cast<int>(w);
-        best_end = next;
-      }
-    }
-    if (best < 0) break;
-    Stopwatch job_sw;
-    const size_t updates =
-        builder_.RunWindowJob(logs_, config_.bn.windows[best], best_end);
-    window_job_ms_->Observe(job_sw.ElapsedMillis());
-    window_jobs_->Increment();
-    window_edge_updates_->Increment(updates);
-    last_job_end_[best] = best_end;
-    ++jobs_run_;
-    builder_.EvictCachedBuckets(
-        *std::min_element(last_job_end_.begin(), last_job_end_.end()));
-  }
+  // Run every completed epoch of every window since its last run; a
+  // catch-up after a long gap replays history hour by hour.
+  jobs_run_ += builder_.RunDueJobs(logs_, now, &last_job_end_);
   // How far the slowest window's job frontier trails the server clock.
   ingest_lag_s_->Set(static_cast<double>(
       now - *std::min_element(last_job_end_.begin(), last_job_end_.end())));
@@ -274,12 +243,15 @@ void BnServer::RefreshSnapshot() {
   auto prev = snapshot_.load(std::memory_order_acquire);
   // Patch the previous snapshot when the churn is small; both paths
   // produce bit-identical snapshots, so this is purely a latency choice.
+  // Past this fraction of all (type, node) rows churned, rebuilding
+  // wholesale is cheaper than patching group by group.
+  constexpr double kSnapshotFullRebuildFraction = 0.25;
   const size_t total_rows =
       static_cast<size_t>(config_.num_users) * kNumEdgeTypes;
   const bool incremental =
       config_.incremental_snapshots && prev != nullptr &&
       static_cast<double>(snapshot_churn_.TotalTouched()) <=
-          config_.snapshot_full_rebuild_fraction *
+          kSnapshotFullRebuildFraction *
               static_cast<double>(total_rows);
   Stopwatch build_sw;
   std::shared_ptr<const bn::BnSnapshot> next;
@@ -433,9 +405,13 @@ Status BnServer::Checkpoint(const std::string& dir) {
       snapshot_churn_.Serialize(&churn);
       writer.AddSection("churn", churn);
     }
+    // A delta is only written while its file stays below this fraction
+    // of the last full checkpoint's bytes; otherwise the checkpoint is
+    // written full (and the chain resets).
+    constexpr double kDeltaCheckpointMaxFraction = 0.5;
     const size_t delta_bytes = writer.TotalBytes();
     if (static_cast<double>(delta_bytes) <=
-        config_.delta_checkpoint_max_fraction *
+        kDeltaCheckpointMaxFraction *
             static_cast<double>(last_full_ckpt_bytes_)) {
       TURBO_RETURN_IF_ERROR(
           writer.WriteFile(storage::CheckpointDeltaPath(dir, next_seq)));

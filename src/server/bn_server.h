@@ -49,10 +49,6 @@ struct BnServerConfig {
   bn::BnConfig bn;
   bn::SamplerConfig sampler;
   int num_users = 0;  // node-id space
-  /// Cost model of the raw-log store ("local database"): reads through
-  /// it charge a SimClock like a networked RDBMS, which is what the
-  /// Section V cache study measures.
-  storage::MediumCost log_cost = storage::MediumCost::NetworkedSql();
   /// Snapshot refresh cadence; sampling between refreshes serves the
   /// last snapshot (the paper's jobs are likewise asynchronous to the
   /// request path).
@@ -61,23 +57,14 @@ struct BnServerConfig {
   int snapshot_build_threads = 0;
   /// Publish refreshes via BnSnapshot::ApplyDeltas over the accumulated
   /// churn set (bit-identical to a full build, cost proportional to
-  /// churn). The first publish, and any whose churn trips the fraction
-  /// below, still runs a full build.
+  /// churn). The first publish, and any whose churn trips
+  /// kSnapshotFullRebuildFraction (bn_server.cc), still runs a full build.
   bool incremental_snapshots = true;
-  /// Incremental publish falls back to a full rebuild when the churned
-  /// (type, node) rows exceed this fraction of all rows (num_users *
-  /// kNumEdgeTypes) — past that point rebuilding wholesale is cheaper
-  /// than patching group by group.
-  double snapshot_full_rebuild_fraction = 0.25;
   /// After a full base checkpoint, write later checkpoints as deltas
   /// (state touched since the previous link) when the WAL is enabled.
   /// Every delta still leaves recovery bit-identical; this only trades
   /// write amplification against chain length.
   bool delta_checkpoints = true;
-  /// A delta is only written while its file stays below this fraction of
-  /// the last full checkpoint's bytes; otherwise the checkpoint is
-  /// written full (and the chain resets).
-  double delta_checkpoint_max_fraction = 0.5;
   /// Hard cap on consecutive deltas: the next checkpoint after this many
   /// links is full, bounding recovery's chain-apply work.
   int max_delta_chain = 16;
@@ -260,12 +247,9 @@ class BnServer {
   // Metric handles resolved once in the constructor; all writes after
   // that are lock-free (see obs/metrics.h).
   obs::Counter* ingest_events_ = nullptr;
-  obs::Counter* window_jobs_ = nullptr;
-  obs::Counter* window_edge_updates_ = nullptr;
   obs::Counter* ttl_expired_edges_ = nullptr;
   obs::Counter* snapshot_builds_ = nullptr;
   obs::Counter* samples_ = nullptr;
-  obs::Histogram* window_job_ms_ = nullptr;
   obs::Histogram* snapshot_build_ms_ = nullptr;
   obs::Histogram* sample_ms_ = nullptr;
   obs::Histogram* sample_nodes_ = nullptr;
@@ -298,7 +282,10 @@ class BnServer {
   std::unique_ptr<util::MpscRing<BehaviorLog>> ingest_ring_;
   /// Worker pool the window-job shards run on (null = serial shards).
   std::unique_ptr<util::ThreadPool> job_pool_;
-  storage::LogStore logs_{config_.log_cost};
+  /// The raw-log store ("local database"): reads through it charge a
+  /// SimClock like a networked RDBMS, which is what the Section V cache
+  /// study measures.
+  storage::LogStore logs_{storage::MediumCost::NetworkedSql()};
   storage::EdgeStore edges_;
   bn::BnBuilder builder_;
   // Written only by the AdvanceTo thread, read concurrently by serving

@@ -22,10 +22,10 @@ struct MediumCost {
   /// A MySQL-like networked relational store: ~0.5 ms query overhead,
   /// ~8 us per row streamed back. Matches the paper's observed multi-second
   /// latency when statistical features scan thousands of raw log rows.
-  static MediumCost NetworkedSql() { return {500.0, 8.0}; }
+  static constexpr MediumCost NetworkedSql() { return {500.0, 8.0}; }
   /// A Redis-like in-memory cache reached over loopback: ~50 us per
   /// command, ~0.2 us per row/field.
-  static MediumCost InMemoryCache() { return {50.0, 0.2}; }
+  static constexpr MediumCost InMemoryCache() { return {50.0, 0.2}; }
   /// Free (used by unit tests that don't care about latency accounting).
   static MediumCost Free() { return {0.0, 0.0}; }
 };

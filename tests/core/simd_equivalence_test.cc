@@ -1,8 +1,8 @@
 // SIMD-tier equivalence at model level: EmbedInference and
-// LogitsInference under every supported SIMD tier must stay within 4 ULP
-// (with a cancellation abs-floor) of the forced-scalar inference path,
-// for HAG under every SAO x CFO ablation combo and for all three
-// baselines. This is the end-to-end companion of the kernel-level sweep
+// LogitsInference under the AVX2 tier, where the host supports it, must
+// stay within 4 ULP (with a cancellation abs-floor) of the forced-scalar
+// inference path, for HAG under every SAO x CFO ablation combo and for
+// all three baselines. This is the end-to-end companion of the kernel-level sweep
 // in tests/la/dispatch_test.cc: kernels that individually stay within a
 // few ULP could still compound through layers, so the bound here is on
 // the full forward.
@@ -29,14 +29,6 @@ using la::testing::ExpectUlpClose;
 
 constexpr int64_t kMaxUlps = 4;
 
-std::vector<la::KernelIsa> SimdIsas() {
-  std::vector<la::KernelIsa> isas;
-  for (la::KernelIsa isa : {la::KernelIsa::kAvx2, la::KernelIsa::kAvx512}) {
-    if (la::IsaSupported(isa)) isas.push_back(isa);
-  }
-  return isas;
-}
-
 std::vector<int> AlternatingLabels(size_t n) {
   std::vector<int> labels(n);
   for (size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 2);
@@ -52,8 +44,8 @@ float ModelFloor(const la::Matrix& ref) {
 }
 
 /// Trains briefly (training always runs the scalar table; the scalar
-/// scope covers the reference forward), then sweeps every supported SIMD
-/// tier against the forced-scalar inference forward.
+/// scope covers the reference forward), then checks the AVX2 tier, when
+/// the host supports it, against the forced-scalar inference forward.
 void ExpectSimdMatchesScalar(gnn::GnnModel* model,
                              const gnn::GraphBatch& batch) {
   la::Matrix emb_ref, logits_ref;
@@ -67,14 +59,12 @@ void ExpectSimdMatchesScalar(gnn::GnnModel* model,
     emb_ref = model->EmbedInference(batch);
     logits_ref = model->LogitsInference(batch);
   }
-  for (la::KernelIsa isa : SimdIsas()) {
-    la::ScopedKernelIsa forced(isa);
-    SCOPED_TRACE(la::IsaName(isa));
-    ExpectUlpClose(emb_ref, model->EmbedInference(batch), kMaxUlps,
-                   ModelFloor(emb_ref), "EmbedInference");
-    ExpectUlpClose(logits_ref, model->LogitsInference(batch), kMaxUlps,
-                   ModelFloor(logits_ref), "LogitsInference");
-  }
+  if (!la::IsaSupported(la::KernelIsa::kAvx2)) return;
+  la::ScopedKernelIsa forced(la::KernelIsa::kAvx2);
+  ExpectUlpClose(emb_ref, model->EmbedInference(batch), kMaxUlps,
+                 ModelFloor(emb_ref), "EmbedInference");
+  ExpectUlpClose(logits_ref, model->LogitsInference(batch), kMaxUlps,
+                 ModelFloor(logits_ref), "LogitsInference");
 }
 
 TEST(SimdEquivalenceTest, HagAllAblationFlagCombos) {
