@@ -170,54 +170,6 @@ void DriveBoth(server::BnServer* a, server::BnServer* b,
   }
 }
 
-/// Published snapshots must be bit-identical between the incremental
-/// and the full-rebuild path — float equality, not approximate.
-void CheckSnapshotsIdentical(const server::BnServer& inc,
-                             const server::BnServer& full) {
-  const auto a = inc.snapshot();
-  const auto b = full.snapshot();
-  TURBO_CHECK(a != nullptr && b != nullptr);
-  TURBO_CHECK_EQ(a->version(), b->version());
-  TURBO_CHECK_EQ(a->num_nodes(), b->num_nodes());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    TURBO_CHECK_EQ(a->NumEdges(t), b->NumEdges(t));
-    for (UserId u = 0; u < static_cast<UserId>(a->num_nodes()); ++u) {
-      const auto na = a->Neighbors(t, u);
-      const auto nb = b->Neighbors(t, u);
-      TURBO_CHECK_EQ(na.size(), nb.size());
-      for (size_t i = 0; i < na.size(); ++i) {
-        TURBO_CHECK_EQ(na.id(i), nb.id(i));
-        TURBO_CHECK_MSG(na.weights()[i] == nb.weights()[i],
-                        "incremental publish diverged on node "
-                            << u << " type " << t << " slot " << i);
-      }
-    }
-  }
-}
-
-void CheckServersIdentical(const server::BnServer& a,
-                           const server::BnServer& b, int users) {
-  TURBO_CHECK_EQ(a.now(), b.now());
-  TURBO_CHECK_EQ(a.jobs_run(), b.jobs_run());
-  TURBO_CHECK_EQ(a.logs().size(), b.logs().size());
-  TURBO_CHECK_EQ(a.snapshot_version(), b.snapshot_version());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    TURBO_CHECK_EQ(a.edges().NumEdges(t), b.edges().NumEdges(t));
-    for (UserId u = 0; u < static_cast<UserId>(users); ++u) {
-      const auto& an = a.edges().Neighbors(t, u);
-      const auto& bn = b.edges().Neighbors(t, u);
-      TURBO_CHECK_EQ(an.size(), bn.size());
-      for (const auto& [v, e] : an) {
-        auto it = bn.find(v);
-        TURBO_CHECK(it != bn.end());
-        TURBO_CHECK_MSG(e.weight == it->second.weight,
-                        "recovered state diverged on edge "
-                            << u << "-" << v << " type " << t);
-      }
-    }
-  }
-}
-
 struct EpochRow {
   double fraction = 0.0;
   int64_t hour = 0;
@@ -272,7 +224,9 @@ int Main(int argc, char** argv) {
   DriveBoth(&writer, &ablation,
             MakeSeedLogs(0x1ac5ULL, users, seed_logs, seed_span), 0,
             seed_span);
-  CheckSnapshotsIdentical(writer, ablation);
+  const std::string seed_diff = writer.FirstDifference(ablation);
+  TURBO_CHECK_MSG(seed_diff.empty(),
+                  "incremental publish diverged: " << seed_diff);
 
   // The full base checkpoint every delta is measured against.
   Stopwatch full_sw;
@@ -319,7 +273,8 @@ int Main(int argc, char** argv) {
                               now + kHour),
                 now, now + kHour);
       now += kHour;
-      CheckSnapshotsIdentical(writer, ablation);
+      const std::string diff = writer.FirstDifference(ablation);
+      TURBO_CHECK_MSG(diff.empty(), "incremental publish diverged: " << diff);
 
       EpochRow row;
       row.fraction = fraction;
@@ -353,7 +308,9 @@ int Main(int argc, char** argv) {
   server::BnServer recovered(MakeConfig(users, dir, /*incremental=*/true));
   const Status rec = recovered.Recover(dir);
   TURBO_CHECK_MSG(rec.ok(), "recovery failed: " << rec.ToString());
-  CheckServersIdentical(writer, recovered, users);
+  const std::string recovered_diff = writer.FirstDifference(recovered);
+  TURBO_CHECK_MSG(recovered_diff.empty(),
+                  "recovered state diverged: " << recovered_diff);
 
   // The printed table shows the clean measurement points; the JSON
   // carries every driven hour, including the multi-window union hours.

@@ -104,25 +104,6 @@ double RunSchedule(const storage::LogStore& store, const bn::BnConfig& cfg,
   return secs;
 }
 
-void CheckIdentical(const storage::EdgeStore& a, const storage::EdgeStore& b,
-                    int users, const std::string& engine) {
-  TURBO_CHECK_EQ(a.TotalEdges(), b.TotalEdges());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    for (UserId u = 0; u < static_cast<UserId>(users); ++u) {
-      const auto& an = a.Neighbors(t, u);
-      const auto& other = b.Neighbors(t, u);
-      TURBO_CHECK_EQ(an.size(), other.size());
-      for (const auto& [v, e] : an) {
-        auto it = other.find(v);
-        TURBO_CHECK(it != other.end());
-        TURBO_CHECK_MSG(e.weight == it->second.weight,
-                        "engine '" << engine << "' diverged on edge " << u
-                                   << "-" << v << " type " << t);
-      }
-    }
-  }
-}
-
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int users = flags.GetInt("users", 240);
@@ -196,7 +177,9 @@ int Main(int argc, char** argv) {
     if (reference == nullptr) {
       reference = std::move(built);
     } else {
-      CheckIdentical(*reference, *built, users, spec.name);
+      const std::string diff = reference->FirstDifference(*built);
+      TURBO_CHECK_MSG(diff.empty(),
+                      "engine '" << spec.name << "' diverged: " << diff);
     }
     results.push_back(r);
   }

@@ -1,9 +1,12 @@
 #include "bn/snapshot.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <unordered_map>
+
+#include "util/string_util.h"
 
 namespace turbo::bn {
 
@@ -561,6 +564,43 @@ size_t BnSnapshot::SharedGroupsWith(const BnSnapshot& other) const {
     }
   }
   return shared;
+}
+
+std::string BnSnapshot::FirstDifference(const BnSnapshot& other) const {
+  if (num_nodes_ != other.num_nodes_) {
+    return StrFormat("%d vs %d nodes", num_nodes_, other.num_nodes_);
+  }
+  if (normalized_ != other.normalized_) {
+    return StrFormat("normalized %d vs %d", normalized_, other.normalized_);
+  }
+  for (int t = 0; t < kNumEdgeTypes; ++t) {
+    if (NumEdges(t) != other.NumEdges(t)) {
+      return StrFormat("type %d: %zu vs %zu edges", t, NumEdges(t),
+                       other.NumEdges(t));
+    }
+  }
+  for (int t = 0; t < kNumEdgeTypes; ++t) {
+    for (UserId u = 0; u < static_cast<UserId>(num_nodes_); ++u) {
+      const NeighborSpan a = Neighbors(t, u);
+      const NeighborSpan b = other.Neighbors(t, u);
+      if (a.size() != b.size()) {
+        return StrFormat("type %d row %u: %zu vs %zu neighbours", t, u,
+                         a.size(), b.size());
+      }
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (a.id(i) != b.id(i)) {
+          return StrFormat("type %d row %u slot %zu: id %u vs %u", t, u, i,
+                           a.id(i), b.id(i));
+        }
+        if (std::bit_cast<uint32_t>(a.weight(i)) !=
+            std::bit_cast<uint32_t>(b.weight(i))) {
+          return StrFormat("type %d row %u slot %zu: weight %.9g vs %.9g", t,
+                           u, i, a.weight(i), b.weight(i));
+        }
+      }
+    }
+  }
+  return "";
 }
 
 double GraphView::WeightedDegree(int edge_type, UserId u) const {

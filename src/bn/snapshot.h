@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "storage/behavior_log.h"
@@ -230,6 +231,13 @@ class BnSnapshot {
   /// identical, with `other` — the structural-sharing observable the
   /// incremental-publish tests assert on.
   size_t SharedGroupsWith(const BnSnapshot& other) const;
+
+  /// Bit-identity oracle (DESIGN.md §10): the first difference from
+  /// `other` as text, or "" when both serve the same bits. Compares node
+  /// count, the normalization flag, per-type edge counts, and every row's
+  /// ids and float weight bits. The version is not compared; a caller
+  /// that pins it compares it itself.
+  std::string FirstDifference(const BnSnapshot& other) const;
 
   /// Checkpoint hook: writes version, node count, normalization flag,
   /// and per type the flattened CSR (global offsets / neighbor ids /

@@ -207,29 +207,6 @@ uint64_t BnCluster::snapshot_version_for(UserId uid) const {
   return HandleForUser(uid).snapshot_version();
 }
 
-double BnCluster::EdgeWeight(int edge_type, UserId u, UserId v) const {
-  // Exact double accumulation, shard-index order: each shard holds a
-  // disjoint subset of the edge's (exactly representable) term sums.
-  double w = 0.0;
-  for (const auto& shard : CheckLocal()) {
-    const auto& row = shard->edges().Neighbors(edge_type, u);
-    auto it = row.find(v);
-    if (it != row.end()) w += it->second.weight;
-  }
-  return w;
-}
-
-SimTime BnCluster::EdgeLastUpdate(int edge_type, UserId u,
-                                  UserId v) const {
-  SimTime latest = 0;
-  for (const auto& shard : CheckLocal()) {
-    const auto& row = shard->edges().Neighbors(edge_type, u);
-    auto it = row.find(v);
-    if (it != row.end()) latest = std::max(latest, it->second.last_update);
-  }
-  return latest;
-}
-
 ClusterPredictionRouter::ClusterPredictionRouter(
     const ShardRouter* router, std::vector<PredictionServer*> shards)
     : router_(router), shards_(std::move(shards)) {

@@ -79,8 +79,8 @@ class BnCluster {
   /// of in-process servers. `config.shard.bn.topology` still defines the
   /// routing layout and must match what each remote shard was built
   /// with; `config.num_shards`/`wal_root` are ignored (the handle count
-  /// is the shard count, durability lives with each shard). Local-only
-  /// accessors (shard(), EdgeWeight(), ...) CHECK-fail in this mode.
+  /// is the shard count, durability lives with each shard). The
+  /// local-only shard() accessor CHECK-fails in this mode.
   BnCluster(BnClusterConfig config,
             std::vector<std::unique_ptr<ShardHandle>> handles);
 
@@ -122,16 +122,10 @@ class BnCluster {
   int num_shards() const { return static_cast<int>(handles_.size()); }
   const ShardRouter& router() const { return router_; }
   /// True when the shards are in-process BnServers (local-mode
-  /// constructor); the accessors below require it.
+  /// constructor); shard() requires it.
   bool local() const { return !shards_.empty(); }
   BnServer& shard(int i) { return *CheckLocal()[i]; }
   const BnServer& shard(int i) const { return *CheckLocal()[i]; }
-  BnServer& ShardForUser(UserId uid) {
-    return *CheckLocal()[router_.OwnerOfUser(uid)];
-  }
-  const BnServer& ShardForUser(UserId uid) const {
-    return *CheckLocal()[router_.OwnerOfUser(uid)];
-  }
   /// The routed handle for `uid`'s home shard (works in both modes).
   ShardHandle& HandleForUser(UserId uid) const {
     return *handles_[router_.OwnerOfUser(uid)];
@@ -139,13 +133,6 @@ class BnCluster {
 
   /// Durability directory of shard `i` under `root`.
   static std::string ShardDir(const std::string& root, int i);
-
-  /// Total weight of edge (edge_type, u, v) across shards — bit-equal
-  /// to the weight a single server would hold (exact partial sums, see
-  /// file comment). 0 when absent everywhere.
-  double EdgeWeight(int edge_type, UserId u, UserId v) const;
-  /// Latest update stamp of the edge across shards (0 when absent).
-  SimTime EdgeLastUpdate(int edge_type, UserId u, UserId v) const;
 
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 

@@ -920,6 +920,37 @@ uint64_t BnServer::snapshot_version() const {
   return snap ? snap->version() : 0;
 }
 
+std::string BnServer::FirstDifference(const BnServer& other) const {
+  if (now() != other.now()) {
+    return StrFormat("clock %lld vs %lld", static_cast<long long>(now()),
+                     static_cast<long long>(other.now()));
+  }
+  if (jobs_run_ != other.jobs_run_) {
+    return StrFormat("jobs_run %zu vs %zu", jobs_run_, other.jobs_run_);
+  }
+  if (edges_expired_ != other.edges_expired_) {
+    return StrFormat("edges_expired %zu vs %zu", edges_expired_,
+                     other.edges_expired_);
+  }
+  if (logs_.size() != other.logs_.size()) {
+    return StrFormat("%zu vs %zu logs", logs_.size(), other.logs_.size());
+  }
+  if (snapshot_version() != other.snapshot_version()) {
+    return StrFormat("snapshot version %llu vs %llu",
+                     static_cast<unsigned long long>(snapshot_version()),
+                     static_cast<unsigned long long>(other.snapshot_version()));
+  }
+  const std::string edges = edges_.FirstDifference(other.edges_);
+  if (!edges.empty()) return "edges: " + edges;
+  const auto snap = snapshot_.load(std::memory_order_acquire);
+  const auto other_snap = other.snapshot_.load(std::memory_order_acquire);
+  if (snap != nullptr && other_snap != nullptr) {
+    const std::string csr = snap->FirstDifference(*other_snap);
+    if (!csr.empty()) return "snapshot: " + csr;
+  }
+  return "";
+}
+
 bn::Subgraph BnServer::SampleSubgraph(UserId uid) const {
   return SampleSubgraph(std::vector<UserId>{uid});
 }

@@ -207,6 +207,15 @@ class BnServer {
   size_t jobs_run() const { return jobs_run_; }
   size_t edges_expired() const { return edges_expired_; }
 
+  /// Bit-identity oracle (DESIGN.md §10): the first difference from
+  /// `other` as text, or "" when the two servers hold the same state.
+  /// Compares, in order, the clock, jobs_run(), edges_expired(), the log
+  /// count and the snapshot version; then the edge stores
+  /// (EdgeStore::FirstDifference); then the published snapshots
+  /// (BnSnapshot::FirstDifference) when both sides have one. Reads
+  /// writer-side state: neither server may be mid-mutation.
+  std::string FirstDifference(const BnServer& other) const;
+
   /// The registry this server reports into (config.metrics or the
   /// private default). RenderText/RenderJson are safe to call from any
   /// thread concurrently with ingestion and sampling.

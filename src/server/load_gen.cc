@@ -25,21 +25,16 @@ struct Arrival {
   bool prediction = true;
 };
 
-/// Pre-generated arrival times: the open-loop schedule exists before
-/// the run starts, so lateness in dispatching an arrival can never thin
-/// the offered load (the coordinated-omission fix).
-void AppendArrivals(double rate, double duration_s, bool poisson,
-                    uint64_t seed, bool prediction,
-                    std::vector<Arrival>* out) {
+/// Pre-generated Poisson arrival times: the open-loop schedule exists
+/// before the run starts, so lateness in dispatching an arrival can never
+/// thin the offered load (the coordinated-omission fix).
+void AppendArrivals(double rate, double duration_s, uint64_t seed,
+                    bool prediction, std::vector<Arrival>* out) {
   if (rate <= 0.0) return;
   Rng rng(Mix64(seed));
   double t = 0.0;
   for (;;) {
-    if (poisson) {
-      t += -std::log(1.0 - rng.NextDouble()) / rate;
-    } else {
-      t += 1.0 / rate;
-    }
+    t += -std::log(1.0 - rng.NextDouble()) / rate;
     if (t >= duration_s) return;
     out->push_back(Arrival{t, prediction});
   }
@@ -69,12 +64,10 @@ LoadGenResult OpenLoopLoadGen::Run(const std::vector<UserId>& targets,
   const bool ingest = config_.ingest_rate > 0.0 && !ingest_pool.empty();
 
   std::vector<Arrival> schedule;
-  AppendArrivals(config_.prediction_rate, config_.duration_s,
-                 config_.poisson, config_.seed, /*prediction=*/true,
-                 &schedule);
+  AppendArrivals(config_.prediction_rate, config_.duration_s, config_.seed,
+                 /*prediction=*/true, &schedule);
   AppendArrivals(ingest ? config_.ingest_rate : 0.0, config_.duration_s,
-                 config_.poisson, config_.seed + 1, /*prediction=*/false,
-                 &schedule);
+                 config_.seed + 1, /*prediction=*/false, &schedule);
   std::stable_sort(schedule.begin(), schedule.end(),
                    [](const Arrival& a, const Arrival& b) {
                      return a.t_s < b.t_s;
@@ -99,8 +92,9 @@ LoadGenResult OpenLoopLoadGen::Run(const std::vector<UserId>& targets,
   std::thread drain;
   if (ingest) {
     drain = std::thread([&] {
+      constexpr size_t kDrainBatch = 256;
       for (;;) {
-        const size_t n = bn_->DrainIngest(config_.ingest_drain_batch);
+        const size_t n = bn_->DrainIngest(kDrainBatch);
         if (n > 0) {
           const auto now = Clock::now();
           std::lock_guard<std::mutex> lock(ingest_mu);

@@ -52,15 +52,12 @@ struct LoadGenConfig {
   /// Per-request latency SLO; also the deadline handed to the server
   /// (intended arrival + slo_ms).
   double slo_ms = 50.0;
-  /// Poisson (exponential inter-arrival) when true; evenly spaced when
-  /// false. Schedules are deterministic given (seed, rate, duration).
-  bool poisson = true;
+  /// Seeds the Poisson (exponential inter-arrival) schedules, which are
+  /// deterministic given (seed, rate, duration).
   uint64_t seed = 1;
   /// Batching config for the server's coalescing queue (started and
   /// stopped by Run).
   BatchingConfig batching;
-  /// Max logs the ingest drain thread applies per DrainIngest call.
-  size_t ingest_drain_batch = 256;
 };
 
 struct LoadGenResult {

@@ -142,6 +142,9 @@ class BinaryReader {
 
  private:
   bool Raw(void* p, size_t n) {
+    // An empty vector's data() may be null, and memcpy/memset with a null
+    // pointer are undefined even for zero bytes.
+    if (n == 0) return !failed_;
     if (failed_ || n > remaining()) {
       failed_ = true;
       std::memset(p, 0, n);

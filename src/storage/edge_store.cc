@@ -1,6 +1,10 @@
 #include "storage/edge_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+
+#include "util/string_util.h"
 
 namespace turbo::storage {
 
@@ -323,6 +327,61 @@ std::vector<UserId> EdgeStore::ConnectedUsers() const {
     if (seen[u]) out.push_back(u);
   }
   return out;
+}
+
+std::string EdgeStore::FirstDifference(const EdgeStore& other) const {
+  for (int t = 0; t < kNumEdgeTypes; ++t) {
+    if (edge_count_[t] != other.edge_count_[t]) {
+      return StrFormat("type %d: %zu vs %zu edges", t, edge_count_[t],
+                       other.edge_count_[t]);
+    }
+  }
+  // A one-part sum is the part itself, bit for bit.
+  return FirstDifferenceFromSum({&other});
+}
+
+std::string EdgeStore::FirstDifferenceFromSum(
+    const std::vector<const EdgeStore*>& parts) const {
+  for (int t = 0; t < kNumEdgeTypes; ++t) {
+    for (UserId u = 0; u < by_type_[t].size(); ++u) {
+      for (const auto& [v, e] : by_type_[t][u]) {
+        // Exact double accumulation in part order: each part holds a
+        // disjoint subset of the edge's exactly representable terms.
+        EdgeInfo sum{0.0, std::numeric_limits<SimTime>::min()};
+        for (const EdgeStore* part : parts) {
+          const auto& row = part->Neighbors(t, u);
+          const auto it = row.find(v);
+          if (it == row.end()) continue;
+          sum.weight += it->second.weight;
+          sum.last_update = std::max(sum.last_update, it->second.last_update);
+        }
+        if (std::bit_cast<uint64_t>(e.weight) !=
+            std::bit_cast<uint64_t>(sum.weight)) {
+          return StrFormat("type %d edge %u-%u: weight %.17g vs %.17g", t, u,
+                           v, e.weight, sum.weight);
+        }
+        if (e.last_update != sum.last_update) {
+          return StrFormat("type %d edge %u-%u: last_update %lld vs %lld", t,
+                           u, v, static_cast<long long>(e.last_update),
+                           static_cast<long long>(sum.last_update));
+        }
+      }
+    }
+  }
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (int t = 0; t < kNumEdgeTypes; ++t) {
+      const Adjacency& adj = parts[p]->by_type_[t];
+      for (UserId u = 0; u < adj.size(); ++u) {
+        for (const auto& [v, e] : adj[u]) {
+          if (!Neighbors(t, u).contains(v)) {
+            return StrFormat("type %d edge %u-%u: only in part %zu", t, u, v,
+                             p);
+          }
+        }
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace turbo::storage

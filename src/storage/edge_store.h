@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -109,6 +110,20 @@ class EdgeStore {
   /// reproduces the writer's store bit for bit. Validates endpoints
   /// against `num_users` like Deserialize.
   Status ApplyDeltaSection(BinaryReader* r, UserId num_users);
+
+  /// Bit-identity oracle (DESIGN.md §10): the first difference from
+  /// `other` as text, or "" when the stores are bit-identical. Compares
+  /// per-type edge counts, then every edge either store holds: membership,
+  /// exact double weight bits, and last_update.
+  std::string FirstDifference(const EdgeStore& other) const;
+
+  /// The cluster invariant of DESIGN.md §14, this store being the single
+  /// server's and `parts` the shards': every edge weighs exactly its
+  /// parts' weights added in part order and carries their latest stamp,
+  /// and no part holds an edge this store lacks. Returns the first
+  /// violation as text, or "".
+  std::string FirstDifferenceFromSum(
+      const std::vector<const EdgeStore*>& parts) const;
 
  private:
   /// Removes every edge incident to u (both directions), keeping the

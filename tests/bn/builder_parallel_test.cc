@@ -44,28 +44,6 @@ BehaviorLogList MakeLogs(uint64_t seed, size_t n, SimTime span) {
   return logs;
 }
 
-// Exact (bitwise) equality of two stores over the full user range.
-void ExpectIdenticalStores(const EdgeStore& a, const EdgeStore& b,
-                           const char* what) {
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    ASSERT_EQ(a.NumEdges(t), b.NumEdges(t)) << what << " type " << t;
-    for (UserId u = 0; u < kUsers; ++u) {
-      const auto& an = a.Neighbors(t, u);
-      const auto& bn = b.Neighbors(t, u);
-      ASSERT_EQ(an.size(), bn.size()) << what << " u=" << u;
-      for (const auto& [v, e] : an) {
-        auto it = bn.find(v);
-        ASSERT_NE(it, bn.end()) << what << " edge " << u << "-" << v;
-        // Exact double equality is the engine's contract.
-        ASSERT_EQ(e.weight, it->second.weight)
-            << what << " edge " << u << "-" << v << " type " << t;
-        ASSERT_EQ(e.last_update, it->second.last_update)
-            << what << " edge " << u << "-" << v << " type " << t;
-      }
-    }
-  }
-}
-
 BnConfig BaseConfig() {
   BnConfig cfg;
   cfg.windows = {kHour, 2 * kHour, 6 * kHour, kDay};
@@ -98,7 +76,7 @@ TEST(BnBuilderParallelTest, ShardAndThreadCountsAreInvisible) {
       builder.BuildFromLogs(logs);
       SCOPED_TRACE(testing::Message()
                    << "shards=" << shards << " threads=" << threads);
-      ExpectIdenticalStores(serial, got, "sharded");
+      EXPECT_EQ(serial.FirstDifference(got), "");
     }
   }
 }
@@ -117,7 +95,7 @@ TEST(BnBuilderParallelTest, BucketCacheReuseIsInvisible) {
     BnBuilder(cfg, &reused).BuildFromLogs(logs);
   }
   EXPECT_GT(scanned.TotalEdges(), 0u);
-  ExpectIdenticalStores(scanned, reused, "reuse");
+  EXPECT_EQ(scanned.FirstDifference(reused), "");
 }
 
 // Streamed construction — running each (window, epoch) job against a log
@@ -165,7 +143,7 @@ TEST(BnBuilderParallelTest, StreamedJobsMatchOfflineBuild) {
           *std::min_element(last_end.begin(), last_end.end()));
     }
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ExpectIdenticalStores(offline, streamed, "streamed");
+    EXPECT_EQ(offline.FirstDifference(streamed), "");
     // The interleaved schedule keeps the bucket cache bounded by the
     // largest window, and nothing lingers after eviction at the cap.
     EXPECT_LE(builder.CachedBucketEpochs(),

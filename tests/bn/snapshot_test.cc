@@ -1,8 +1,11 @@
 #include "bn/snapshot.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "storage/checkpoint_io.h"
 
 namespace turbo::bn {
 namespace {
@@ -74,18 +77,7 @@ TEST(SnapshotTest, ParallelBuildMatchesSerialBuild) {
   parallel.num_threads = 4;
   auto a = BnSnapshot::Build(MakeStore(), 3, serial);
   auto b = BnSnapshot::Build(MakeStore(), 3, parallel);
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    ASSERT_EQ(a->NumEdges(t), b->NumEdges(t));
-    for (UserId u = 0; u < 3; ++u) {
-      const auto na = a->Neighbors(t, u);
-      const auto nb = b->Neighbors(t, u);
-      ASSERT_EQ(na.size(), nb.size());
-      for (size_t i = 0; i < na.size(); ++i) {
-        EXPECT_EQ(na.id(i), nb.id(i));
-        EXPECT_FLOAT_EQ(na.weight(i), nb.weight(i));
-      }
-    }
-  }
+  EXPECT_EQ(a->FirstDifference(*b), "");
 }
 
 TEST(SnapshotTest, VersionIsCarried) {
@@ -142,6 +134,41 @@ TEST(SnapshotTest, IsolatedNodesHaveNoNeighbors) {
   // Normalization must not divide by zero on isolated nodes.
   GraphView norm(BnSnapshot::Build(MakeStore(), 5));
   EXPECT_TRUE(norm.Neighbors(0, 4).empty());
+}
+
+TEST(SnapshotOracleTest, IdenticalSnapshotsHaveNoDifference) {
+  auto snap = BnSnapshot::Build(MakeStore(), 3, {}, /*version=*/1);
+  // The version is the caller's to compare.
+  EXPECT_EQ(snap->FirstDifference(*BnSnapshot::Build(MakeStore(), 3, {}, 2)),
+            "");
+  storage::BinaryWriter w;
+  snap->Serialize(&w);
+  storage::BinaryReader r(w.data());
+  auto restored_or = BnSnapshot::Deserialize(&r);
+  ASSERT_TRUE(restored_or.ok());
+  EXPECT_EQ(snap->FirstDifference(*restored_or.value()), "");
+}
+
+TEST(SnapshotOracleTest, EverySingleChangeIsNamed) {
+  // Same edge counts and row sizes, but type 0's row 0 points at 2.
+  EdgeStore other_id;
+  other_id.AddWeight(0, 0, 2, 2.0f, 0);
+  other_id.AddWeight(0, 1, 2, 2.0f, 0);
+  other_id.AddWeight(1, 0, 1, 1.0f, 0);
+  other_id.AddWeight(1, 0, 2, 3.0f, 0);
+  EdgeStore last_bit = MakeStore();
+  last_bit.AddWeight(1, 0, 2, std::ldexp(1.0f, -22), 0);  // next float
+  const std::pair<std::shared_ptr<const BnSnapshot>, const char*> cases[] = {
+      {BnSnapshot::Build(other_id, 3, Raw()), "type 0 row 0 slot 0: id 1 vs 2"},
+      {BnSnapshot::Build(last_bit, 3, Raw()), "type 1 row 0 slot 1: weight"},
+      {BnSnapshot::Build(MakeStore(), 4, Raw()), "3 vs 4 nodes"},
+      {BnSnapshot::Build(MakeStore(), 3), "normalized 0 vs 1"},
+  };
+  for (const auto& [other, named] : cases) {
+    const std::string diff =
+        BnSnapshot::Build(MakeStore(), 3, Raw())->FirstDifference(*other);
+    EXPECT_NE(diff.find(named), std::string::npos) << diff;
+  }
 }
 
 TEST(SnapshotDeathTest, BoundsChecked) {

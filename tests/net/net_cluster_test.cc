@@ -54,47 +54,6 @@ BehaviorLogList Traffic(SimTime t0, SimTime t1, int n) {
   return logs;
 }
 
-/// Same bit-level equality contract as tests/server/bn_cluster_test.cc,
-/// applied here between an in-process shard and the BnServer backing a
-/// socket shard.
-void ExpectIdentical(const server::BnServer& a, const server::BnServer& b,
-                     int num_users = kUsers) {
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.jobs_run(), b.jobs_run());
-  EXPECT_EQ(a.edges_expired(), b.edges_expired());
-  EXPECT_EQ(a.logs().size(), b.logs().size());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    ASSERT_EQ(a.edges().NumEdges(t), b.edges().NumEdges(t)) << "type " << t;
-    for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-      const auto& na = a.edges().Neighbors(t, u);
-      const auto& nb = b.edges().Neighbors(t, u);
-      ASSERT_EQ(na.size(), nb.size()) << "type " << t << " uid " << u;
-      for (const auto& [v, e] : na) {
-        auto it = nb.find(v);
-        ASSERT_NE(it, nb.end()) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.weight, it->second.weight) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.last_update, it->second.last_update);
-      }
-    }
-  }
-  EXPECT_EQ(a.snapshot_version(), b.snapshot_version());
-  if (a.snapshot_version() != 0 && b.snapshot_version() != 0) {
-    auto sa = a.snapshot();
-    auto sb = b.snapshot();
-    for (int t = 0; t < kNumEdgeTypes; ++t) {
-      for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-        bn::NeighborSpan ra = sa->Neighbors(t, u);
-        bn::NeighborSpan rb = sb->Neighbors(t, u);
-        ASSERT_EQ(ra.size(), rb.size()) << "type " << t << " uid " << u;
-        for (size_t i = 0; i < ra.size(); ++i) {
-          EXPECT_EQ(ra.id(i), rb.id(i));
-          EXPECT_EQ(ra.weight(i), rb.weight(i));
-        }
-      }
-    }
-  }
-}
-
 /// An N-shard cluster whose shards live behind real loopback sockets:
 /// per-shard BnServers (the "remote" processes), a ShardService each,
 /// and a handle-mode BnCluster over RemoteShardClients.
@@ -170,7 +129,7 @@ TEST(NetClusterTest, TwoShardSocketClusterIsBitIdenticalToInProcess) {
   EXPECT_EQ(rig.cluster->now(), inproc.now());
   EXPECT_EQ(rig.cluster->epoch(), inproc.epoch());
   for (int s = 0; s < 2; ++s) {
-    ExpectIdentical(inproc.shard(s), *rig.backing[s]);
+    EXPECT_EQ(inproc.shard(s).FirstDifference(*rig.backing[s]), "");
   }
   // The serving surface routes identically: same subgraphs sampled from
   // the same pinned snapshot versions, shipped over the wire bit-exact.
@@ -225,7 +184,7 @@ TEST(NetClusterTest, ConnectionKillsMidRunStayBitIdentical) {
     rig.cluster->AdvanceTo(t0 + kDay);
   }
   for (int s = 0; s < 2; ++s) {
-    ExpectIdentical(inproc.shard(s), *rig.backing[s]);
+    EXPECT_EQ(inproc.shard(s).FirstDifference(*rig.backing[s]), "");
   }
   EXPECT_GE(
       rig.client_metrics.GetCounter("net_reconnects_total")->value(), 1u);
@@ -253,7 +212,7 @@ TEST(NetClusterTest, OfferDrainOverSocketsMatchesDirectIngest) {
   direct.AdvanceTo(kDay);
   rig.cluster->AdvanceTo(kDay);
   for (int s = 0; s < 2; ++s) {
-    ExpectIdentical(direct.shard(s), *rig.backing[s]);
+    EXPECT_EQ(direct.shard(s).FirstDifference(*rig.backing[s]), "");
   }
 }
 
@@ -273,7 +232,7 @@ TEST(NetClusterTest, CheckpointAndRecoverOverSockets) {
   recovered.StartServices(dirs);
   ASSERT_TRUE(recovered.cluster->Recover().ok());
   for (int s = 0; s < 2; ++s) {
-    ExpectIdentical(*writer.backing[s], *recovered.backing[s]);
+    EXPECT_EQ(writer.backing[s]->FirstDifference(*recovered.backing[s]), "");
   }
 
   // A shard served without a durability dir refuses both operations.

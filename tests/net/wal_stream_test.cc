@@ -309,27 +309,6 @@ BehaviorLogList Traffic(SimTime t0, SimTime t1, int n) {
   return logs;
 }
 
-void ExpectIdentical(const server::BnServer& a, const server::BnServer& b) {
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.jobs_run(), b.jobs_run());
-  EXPECT_EQ(a.logs().size(), b.logs().size());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    ASSERT_EQ(a.edges().NumEdges(t), b.edges().NumEdges(t)) << "type " << t;
-    for (UserId u = 0; u < kUsers; ++u) {
-      const auto& na = a.edges().Neighbors(t, u);
-      const auto& nb = b.edges().Neighbors(t, u);
-      ASSERT_EQ(na.size(), nb.size()) << "type " << t << " uid " << u;
-      for (const auto& [v, e] : na) {
-        auto it = nb.find(v);
-        ASSERT_NE(it, nb.end()) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.weight, it->second.weight) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.last_update, it->second.last_update);
-      }
-    }
-  }
-  EXPECT_EQ(a.snapshot_version(), b.snapshot_version());
-}
-
 TEST(NetWalStreamTest, StandbyTracksKilledShipsAndRebootstrapsOnGap) {
   const std::string primary_dir = FreshDir("netship_e2e_primary");
   const std::string replica_dir = FreshDir("netship_e2e_replica");
@@ -348,7 +327,7 @@ TEST(NetWalStreamTest, StandbyTracksKilledShipsAndRebootstrapsOnGap) {
   ASSERT_TRUE(ShipWalOverRpc(primary_dir, &client).ok());
   ASSERT_TRUE(standby.CatchUp().ok());
   ASSERT_TRUE(standby.bootstrapped());
-  ExpectIdentical(*primary, *standby.server());
+  EXPECT_EQ(primary->FirstDifference(*standby.server()), "");
 
   // Round 2: the connection dies mid-ship; the client's retry loop
   // reconnects (every sink op is receiver-side idempotent) and the
@@ -362,7 +341,7 @@ TEST(NetWalStreamTest, StandbyTracksKilledShipsAndRebootstrapsOnGap) {
   ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
   EXPECT_GE(metrics.GetCounter("net_reconnects_total")->value(), 1u);
   ASSERT_TRUE(standby.CatchUp().ok());
-  ExpectIdentical(*primary, *standby.server());
+  EXPECT_EQ(primary->FirstDifference(*standby.server()), "");
 
   // Round 3: checkpoint rotation on the primary; the mirror-delete ship
   // removes the segments this standby was consuming. CatchUp detects
@@ -378,7 +357,7 @@ TEST(NetWalStreamTest, StandbyTracksKilledShipsAndRebootstrapsOnGap) {
   EXPECT_NE(gap.message().find("replication gap"), std::string::npos)
       << gap.message();
   ASSERT_TRUE(standby.Rebootstrap().ok());
-  ExpectIdentical(*primary, *standby.server());
+  EXPECT_EQ(primary->FirstDifference(*standby.server()), "");
 
   // Round 4: the primary dies; the standby promotes into a durable
   // primary over the RPC-shipped replica directory.
@@ -390,7 +369,7 @@ TEST(NetWalStreamTest, StandbyTracksKilledShipsAndRebootstrapsOnGap) {
   promoted->AdvanceTo(kDay + 14 * kHour);
   server::BnServer recovered(SmallConfig(replica_dir));
   ASSERT_TRUE(recovered.Recover(replica_dir).ok());
-  ExpectIdentical(*promoted, recovered);
+  EXPECT_EQ(promoted->FirstDifference(recovered), "");
 }
 
 }  // namespace

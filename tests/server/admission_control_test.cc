@@ -68,29 +68,10 @@ TEST(IngestRingTest, OfferPlusDrainMatchesDirectIngest) {
   applied += queued.DrainIngest();
   queued.AdvanceTo(2 * kDay);
 
-  // The drained server is bit-identical to the direct one: same clock,
-  // job frontiers, raw-log count, and exact edge-weight bits.
+  // The drained server is bit-identical to the direct one.
   EXPECT_EQ(applied, traffic.size());
   EXPECT_EQ(queued.ingest_queue_depth(), 0u);
-  EXPECT_EQ(queued.now(), direct.now());
-  EXPECT_EQ(queued.jobs_run(), direct.jobs_run());
-  EXPECT_EQ(queued.logs().size(), direct.logs().size());
-  EXPECT_EQ(queued.snapshot_version(), direct.snapshot_version());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    ASSERT_EQ(queued.edges().NumEdges(t), direct.edges().NumEdges(t))
-        << "type " << t;
-    for (UserId u = 0; u < 64; ++u) {
-      const auto& nq = queued.edges().Neighbors(t, u);
-      const auto& nd = direct.edges().Neighbors(t, u);
-      ASSERT_EQ(nq.size(), nd.size()) << "type " << t << " uid " << u;
-      for (const auto& [v, e] : nd) {
-        auto it = nq.find(v);
-        ASSERT_NE(it, nq.end()) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.weight, it->second.weight) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.last_update, it->second.last_update);
-      }
-    }
-  }
+  EXPECT_EQ(queued.FirstDifference(direct), "");
 }
 
 TEST(IngestRingTest, FullRingRejectsAndCounts) {

@@ -157,17 +157,7 @@ TEST(BnServerConcurrencyTest, SampleWhileShardedJobsRun) {
   bn::BnConfig serial_cfg = cfg.bn;
   serial_cfg.window_job_shards = 1;
   bn::BnBuilder(serial_cfg, &reference).BuildFromLogs(all_logs);
-  const int type = EdgeTypeIndex(kIp);
-  for (UserId u = 0; u < kUsers; ++u) {
-    const auto& got = server.edges().Neighbors(type, u);
-    const auto& want = reference.Neighbors(type, u);
-    ASSERT_EQ(got.size(), want.size()) << "u=" << u;
-    for (const auto& [v, e] : want) {
-      auto it = got.find(v);
-      ASSERT_NE(it, got.end()) << "edge " << u << "-" << v;
-      ASSERT_EQ(it->second.weight, e.weight) << "edge " << u << "-" << v;
-    }
-  }
+  EXPECT_EQ(server.edges().FirstDifference(reference), "");
 }
 
 // A reader-held view pins its snapshot version: publishing newer versions

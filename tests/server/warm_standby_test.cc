@@ -53,28 +53,6 @@ BehaviorLogList Traffic(SimTime t0, SimTime t1, int n) {
   return logs;
 }
 
-void ExpectIdentical(const BnServer& a, const BnServer& b) {
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.jobs_run(), b.jobs_run());
-  EXPECT_EQ(a.edges_expired(), b.edges_expired());
-  EXPECT_EQ(a.logs().size(), b.logs().size());
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    ASSERT_EQ(a.edges().NumEdges(t), b.edges().NumEdges(t)) << "type " << t;
-    for (UserId u = 0; u < kUsers; ++u) {
-      const auto& na = a.edges().Neighbors(t, u);
-      const auto& nb = b.edges().Neighbors(t, u);
-      ASSERT_EQ(na.size(), nb.size()) << "type " << t << " uid " << u;
-      for (const auto& [v, e] : na) {
-        auto it = nb.find(v);
-        ASSERT_NE(it, nb.end()) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.weight, it->second.weight) << "edge " << u << "-" << v;
-        EXPECT_EQ(e.last_update, it->second.last_update);
-      }
-    }
-  }
-  EXPECT_EQ(a.snapshot_version(), b.snapshot_version());
-}
-
 struct Rig {
   std::string primary_dir;
   std::string replica_dir;
@@ -112,7 +90,7 @@ TEST(WarmStandbyTest, ContinuousCatchUpTracksThePrimaryBitForBit) {
   rig.Ship();
   ASSERT_TRUE(rig.standby->CatchUp().ok());
   ASSERT_TRUE(rig.standby->bootstrapped());
-  ExpectIdentical(*rig.primary, *rig.standby->server());
+  EXPECT_EQ(rig.primary->FirstDifference(*rig.standby->server()), "");
 
   // Round 2+: incremental records onto the same segment chain.
   for (int round = 1; round <= 3; ++round) {
@@ -121,7 +99,7 @@ TEST(WarmStandbyTest, ContinuousCatchUpTracksThePrimaryBitForBit) {
     rig.primary->AdvanceTo(t0 + 5 * kHour);
     rig.Ship();
     ASSERT_TRUE(rig.standby->CatchUp().ok()) << "round " << round;
-    ExpectIdentical(*rig.primary, *rig.standby->server());
+    EXPECT_EQ(rig.primary->FirstDifference(*rig.standby->server()), "");
   }
   // The standby serves lock-free reads the whole time.
   EXPECT_GT(rig.standby->server()->snapshot_version(), 0u);
@@ -143,7 +121,7 @@ TEST(WarmStandbyTest, DuplicateReshipAppliesNothing) {
   ASSERT_TRUE(rig.standby->CatchUp().ok());
   EXPECT_EQ(rig.standby->records_applied_total(), applied);
   EXPECT_EQ(rig.standby->server()->logs().size(), logs);
-  ExpectIdentical(*rig.primary, *rig.standby->server());
+  EXPECT_EQ(rig.primary->FirstDifference(*rig.standby->server()), "");
 }
 
 TEST(WarmStandbyTest, TornFinalSegmentWaitsThenResumes) {
@@ -181,7 +159,7 @@ TEST(WarmStandbyTest, TornFinalSegmentWaitsThenResumes) {
   rig.Ship();
   ASSERT_EQ(static_cast<size_t>(fs::file_size(last)), full_size);
   ASSERT_TRUE(rig.standby->CatchUp().ok());
-  ExpectIdentical(*rig.primary, *rig.standby->server());
+  EXPECT_EQ(rig.primary->FirstDifference(*rig.standby->server()), "");
 }
 
 TEST(WarmStandbyTest, SequenceGapFailsLoudlyAndRebootstrapRecovers) {
@@ -208,7 +186,7 @@ TEST(WarmStandbyTest, SequenceGapFailsLoudlyAndRebootstrapRecovers) {
 
   // The documented way back: rebuild from the shipped checkpoint.
   ASSERT_TRUE(rig.standby->Rebootstrap().ok());
-  ExpectIdentical(*rig.primary, *rig.standby->server());
+  EXPECT_EQ(rig.primary->FirstDifference(*rig.standby->server()), "");
 }
 
 TEST(WarmStandbyTest, PromoteSealsTornTailAndBecomesDurablePrimary) {
@@ -249,7 +227,7 @@ TEST(WarmStandbyTest, PromoteSealsTornTailAndBecomesDurablePrimary) {
   promoted->AdvanceTo(kDay + 4 * kHour);
   BnServer recovered(SmallConfig(rig.replica_dir));
   ASSERT_TRUE(recovered.Recover(rig.replica_dir).ok());
-  ExpectIdentical(*promoted, recovered);
+  EXPECT_EQ(promoted->FirstDifference(recovered), "");
 }
 
 TEST(WarmStandbyTest, PromoteWithoutShippedStateIsRefused) {
@@ -271,7 +249,7 @@ TEST(WarmStandbyTest, BootstrapFromShippedCheckpointPlusWalTail) {
   rig.Ship();
   ASSERT_TRUE(rig.standby->CatchUp().ok());
   ASSERT_TRUE(rig.standby->bootstrapped());
-  ExpectIdentical(*rig.primary, *rig.standby->server());
+  EXPECT_EQ(rig.primary->FirstDifference(*rig.standby->server()), "");
   // Replication metrics track the replay cursor.
   const std::string text = rig.standby->metrics().RenderText();
   EXPECT_NE(text.find("bn_replica_shard0_applied_seq"), std::string::npos);

@@ -46,6 +46,20 @@ TEST(BinaryIoTest, ReadPastEndLatchesStickyFailure) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(BinaryIoTest, ZeroLengthReadIntoNullIsANoOp) {
+  BinaryWriter w;
+  w.U32(7);
+  BinaryReader r(w.data());
+  // An empty vector's data(): a zero-length read must not touch it.
+  EXPECT_TRUE(r.Bytes(nullptr, 0));
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), sizeof(uint32_t));
+  EXPECT_EQ(r.U32(), 7u);
+  EXPECT_EQ(r.U8(), 0u);  // overruns
+  EXPECT_FALSE(r.Bytes(nullptr, 0));
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(BinaryIoTest, OversizedStringLengthFailsInsteadOfAllocating) {
   BinaryWriter w;
   w.U64(1ull << 60);  // claimed length far past the buffer

@@ -1,5 +1,9 @@
 #include "storage/edge_store.h"
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace turbo::storage {
@@ -148,6 +152,86 @@ TEST(EdgeStoreTest, ExpiryCountsEachUndirectedEdgeOnce) {
   EXPECT_EQ(store.NumEdges(0), 6u);
   EXPECT_EQ(store.ExpireBefore(100), 6u);
   EXPECT_EQ(store.NumEdges(0), 0u);
+}
+
+struct Add {
+  int type;
+  UserId u, v;
+  float w;
+  SimTime t;
+};
+
+EdgeStore Build(const std::vector<Add>& adds) {
+  EdgeStore store;
+  for (const Add& a : adds) store.AddWeight(a.type, a.u, a.v, a.w, a.t);
+  return store;
+}
+
+// Three edges over two types; edge 1-2 accumulates two terms.
+const std::vector<Add> kAdds = {{0, 1, 2, 0.25f, 100},
+                                {0, 1, 2, 1.0f / 3.0f, 200},
+                                {0, 2, 3, 0.5f, 150},
+                                {2, 5, 7, 0.125f, 300}};
+
+TEST(EdgeStoreOracleTest, IdenticalStoresHaveNoDifference) {
+  const EdgeStore store = Build(kAdds);
+  EXPECT_EQ(store.FirstDifference(Build(kAdds)), "");
+  BinaryWriter w;
+  store.Serialize(&w);
+  BinaryReader r(w.data());
+  EdgeStore restored;
+  ASSERT_TRUE(restored.Deserialize(&r, /*num_users=*/8).ok());
+  EXPECT_EQ(store.FirstDifference(restored), "");
+  EXPECT_EQ(restored.FirstDifference(store), "");
+}
+
+TEST(EdgeStoreOracleTest, EverySingleChangeIsNamed) {
+  std::vector<Add> last_bit = kAdds, restamped = kAdds, extra = kAdds,
+                   moved = kAdds;
+  // 0.25 + 1/3 lies in [0.5, 1), where a double's last bit is 2^-53.
+  last_bit.push_back({0, 1, 2, std::ldexp(1.0f, -53), 200});
+  restamped.back().t = 301;
+  extra.push_back({2, 4, 6, 1.0f, 300});
+  moved.back().v = 6;  // same edge counts, other endpoint
+  const std::pair<std::vector<Add>, const char*> cases[] = {
+      {last_bit, "type 0 edge 1-2: weight"},
+      {restamped, "type 2 edge 5-7: last_update 300 vs 301"},
+      {{kAdds.begin(), kAdds.end() - 1}, "type 2: 1 vs 0 edges"},
+      {extra, "type 2: 1 vs 2 edges"},
+      {moved, "type 2 edge 5-7: weight 0.125 vs 0"},
+  };
+  for (const auto& [adds, named] : cases) {
+    const std::string diff = Build(kAdds).FirstDifference(Build(adds));
+    EXPECT_NE(diff.find(named), std::string::npos) << diff;
+  }
+}
+
+TEST(EdgeStoreOracleTest, SumOfPartsNamesEveryViolation) {
+  // Edge 1-2's two terms land in different parts.
+  const std::vector<Add> part0 = {kAdds[0], kAdds[2]};
+  const std::vector<Add> part1 = {kAdds[1], kAdds[3]};
+  const auto diff = [](const std::vector<Add>& a, const std::vector<Add>& b) {
+    const EdgeStore p0 = Build(a), p1 = Build(b);
+    return Build(kAdds).FirstDifferenceFromSum({&p0, &p1});
+  };
+  EXPECT_EQ(diff(part0, part1), "");
+  std::vector<Add> off = part1, newer = part0, phantom = part0;
+  off[0].w = 0.3f;
+  newer[0].t = 250;  // the sum carries the parts' latest stamp
+  phantom.push_back({1, 3, 4, 1.0f, 100});
+  const struct {
+    std::vector<Add> part0, part1;
+    const char* named;
+  } cases[] = {
+      {part0, off, "type 0 edge 1-2: weight"},
+      {newer, part1, "type 0 edge 1-2: last_update 200 vs 250"},
+      {phantom, part1, "type 1 edge 3-4: only in part 0"},
+      {part0, {kAdds[1]}, "type 2 edge 5-7: weight 0.125 vs 0"},  // unheld
+  };
+  for (const auto& c : cases) {
+    const std::string d = diff(c.part0, c.part1);
+    EXPECT_NE(d.find(c.named), std::string::npos) << d;
+  }
 }
 
 }  // namespace
