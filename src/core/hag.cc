@@ -1,5 +1,9 @@
 #include "core/hag.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace turbo::core {
 
 using ag::Tensor;
@@ -70,6 +74,7 @@ Tensor Hag::ApplySao(const SaoLayer& layer, const Tensor& h,
 }
 
 la::Matrix Hag::ApplySaoInference(const SaoLayer& layer,
+                                  const la::Matrix& h_self,
                                   const la::Matrix& h,
                                   const la::SparseMatrix& mean_adj) const {
   if (!cfg_.use_sao) {
@@ -78,24 +83,25 @@ la::Matrix Hag::ApplySaoInference(const SaoLayer& layer,
     // transformed (narrow) features and fuses with the self-term addend
     // and the activation. Equal in exact arithmetic; float difference
     // is bounded by the inference-equivalence test.
-    la::Matrix self_term = la::dispatch::MatMul(h, layer.w_self->value);
+    la::Matrix self_term = la::dispatch::MatMul(h_self, layer.w_self->value);
     return la::dispatch::SpmmBiasAct(
         mean_adj, la::dispatch::MatMul(h, layer.w_neigh->value), &self_term,
         la::Act::kRelu);
   }
   // Full SAO needs Ā H itself for the gate (Eq. 7–9), so the original
-  // structure stays; the products run on the dispatched kernels.
+  // structure stays; the products run on the dispatched kernels. tanh is
+  // elementwise, so tanh(hs) is taken once for both concatenations.
   la::Matrix hn = la::dispatch::Spmm(mean_adj, h);
-  la::Matrix self_term = la::dispatch::MatMul(h, layer.w_self->value);
+  la::Matrix self_term = la::dispatch::MatMul(h_self, layer.w_self->value);
   la::Matrix neigh_term = la::dispatch::MatMul(hn, layer.w_neigh->value);
-  la::Matrix hs = la::dispatch::MatMul(h, layer.w_s->value);
-  la::Matrix hnn = la::dispatch::MatMul(hn, layer.w_n->value);
-  la::Matrix a_self = la::dispatch::MatMul(
-      la::dispatch::MapAct(la::ConcatCols(hs, hs), la::Act::kTanh),
-      layer.p->value);
-  la::Matrix a_neigh = la::dispatch::MatMul(
-      la::dispatch::MapAct(la::ConcatCols(hnn, hs), la::Act::kTanh),
-      layer.p->value);
+  la::Matrix ths = la::dispatch::MapAct(
+      la::dispatch::MatMul(h_self, layer.w_s->value), la::Act::kTanh);
+  la::Matrix thnn = la::dispatch::MapAct(
+      la::dispatch::MatMul(hn, layer.w_n->value), la::Act::kTanh);
+  la::Matrix a_self =
+      la::dispatch::MatMul(la::ConcatCols(ths, ths), layer.p->value);
+  la::Matrix a_neigh =
+      la::dispatch::MatMul(la::ConcatCols(thnn, ths), layer.p->value);
   la::Matrix alphas = la::SoftmaxRows(la::ConcatCols(a_self, a_neigh));
   la::Matrix z =
       la::MulColBroadcast(self_term, la::SliceCols(alphas, 0, 1));
@@ -103,28 +109,83 @@ la::Matrix Hag::ApplySaoInference(const SaoLayer& layer,
   return la::dispatch::MapAct(z, la::Act::kRelu);
 }
 
-la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
-  TURBO_CHECK(!chains_.empty());
-  const la::Matrix& x = batch.features;
+namespace {
 
-  if (!cfg_.use_cfo) {
-    la::Matrix h = x;
-    for (const auto& layer : chains_[0]) {
-      h = ApplySaoInference(layer, h, batch.union_mean);
-    }
-    return h;
+/// One chain's receptive field over `adj`: rows[L] = [0, num_rows) and
+/// rows[k-1] = rows[k] plus their neighbours in `adj`, each ascending.
+/// Layer k reads rows[k-1] to compute rows[k].
+std::vector<std::vector<uint32_t>> ChainRows(const la::SparseMatrix& adj,
+                                             size_t num_rows,
+                                             size_t num_layers) {
+  const size_t n = adj.rows();
+  TURBO_CHECK_LE(num_rows, n);
+  std::vector<std::vector<uint32_t>> rows(num_layers + 1);
+  std::vector<char> in_field(n, 0);
+  for (uint32_t i = 0; i < num_rows; ++i) {
+    in_field[i] = 1;
+    rows[num_layers].push_back(i);
   }
+  for (size_t k = num_layers; k > 0; --k) {
+    for (uint32_t r : rows[k]) {
+      for (uint32_t e = adj.row_ptr()[r]; e < adj.row_ptr()[r + 1]; ++e) {
+        in_field[adj.col_idx()[e]] = 1;
+      }
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      if (in_field[i]) rows[k - 1].push_back(i);
+    }
+  }
+  return rows;
+}
 
+}  // namespace
+
+std::vector<uint32_t> Hag::InputRows(const gnn::GraphBatch& batch) const {
+  TURBO_CHECK(!chains_.empty());
+  const size_t n = ChainAdjacency(batch, 0).rows();
+  std::vector<char> read(n, 0);
+  for (int c = 0; c < num_chains(); ++c) {
+    const auto rows = ChainRows(ChainAdjacency(batch, c), batch.num_targets,
+                                ChainLayers(c).size());
+    for (uint32_t r : rows[0]) read[r] = 1;
+  }
+  std::vector<uint32_t> out;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (read[i]) out.push_back(i);
+  }
+  return out;
+}
+
+la::Matrix Hag::EmbedRowsInference(const gnn::GraphBatch& batch,
+                                   size_t num_rows) const {
+  TURBO_CHECK(!chains_.empty());
+  // Each chain runs layer k on its rows[k] only. The adjacency keeps
+  // those rows, with columns renumbered into rows[k-1]; the renumbering is
+  // monotone, so every row keeps its entries in order.
   std::vector<la::Matrix> type_embeddings;
-  type_embeddings.reserve(kNumEdgeTypes);
-  for (int r = 0; r < kNumEdgeTypes; ++r) {
-    const auto& chain = cfg_.share_type_weights ? chains_[0] : chains_[r];
-    la::Matrix h = x;
-    for (const auto& layer : chain) {
-      h = ApplySaoInference(layer, h, batch.type_mean[r]);
+  type_embeddings.reserve(num_chains());
+  for (int c = 0; c < num_chains(); ++c) {
+    const la::SparseMatrix& adj = ChainAdjacency(batch, c);
+    const std::vector<SaoLayer>& chain = ChainLayers(c);
+    const auto rows = ChainRows(adj, num_rows, chain.size());
+    la::Matrix h = la::GatherRows(batch.features, rows[0]);
+    std::vector<int32_t> pos(adj.rows());
+    std::vector<uint32_t> self;
+    for (size_t k = 1; k <= chain.size(); ++k) {
+      std::fill(pos.begin(), pos.end(), -1);
+      for (size_t i = 0; i < rows[k - 1].size(); ++i) {
+        pos[rows[k - 1][i]] = static_cast<int32_t>(i);
+      }
+      self.resize(rows[k].size());
+      for (size_t i = 0; i < rows[k].size(); ++i) {
+        self[i] = static_cast<uint32_t>(pos[rows[k][i]]);
+      }
+      h = ApplySaoInference(chain[k - 1], la::GatherRows(h, self), h,
+                            adj.SelectRows(rows[k], pos, rows[k - 1].size()));
     }
     type_embeddings.push_back(std::move(h));
   }
+  if (!cfg_.use_cfo) return std::move(type_embeddings[0]);
 
   la::Matrix scores;
   for (int r = 0; r < kNumEdgeTypes; ++r) {
@@ -151,34 +212,32 @@ la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
   return fused;
 }
 
+la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
+  return EmbedRowsInference(batch, batch.num_nodes());
+}
+
+la::Matrix Hag::TargetLogitsInference(const gnn::GraphBatch& batch) const {
+  return head_.ForwardInference(EmbedRowsInference(batch, batch.num_targets));
+}
+
 Tensor Hag::Embed(const gnn::GraphBatch& batch, bool training, Rng* rng) {
   TURBO_CHECK(!chains_.empty());
   Tensor x = InputTensor(batch);
 
-  if (!cfg_.use_cfo) {
-    // CFO(-): one homogeneous chain on the union graph.
-    Tensor h = x;
-    for (const auto& layer : chains_[0]) {
-      h = ApplySao(layer, h, batch.union_mean);
-      h = ag::Dropout(h, cfg_.dropout, training, rng);
-    }
-    return h;
-  }
-
   // Eq. 10: SAO run independently on every homogeneous subgraph (with
-  // shared or type-specific transforms per config).
+  // shared or type-specific transforms per config); CFO(-) runs one
+  // chain on the union graph.
   std::vector<Tensor> type_embeddings;
-  type_embeddings.reserve(kNumEdgeTypes);
-  for (int r = 0; r < kNumEdgeTypes; ++r) {
-    const auto& chain =
-        cfg_.share_type_weights ? chains_[0] : chains_[r];
+  type_embeddings.reserve(num_chains());
+  for (int c = 0; c < num_chains(); ++c) {
     Tensor h = x;
-    for (const auto& layer : chain) {
-      h = ApplySao(layer, h, batch.type_mean[r]);
+    for (const auto& layer : ChainLayers(c)) {
+      h = ApplySao(layer, h, ChainAdjacency(batch, c));
       h = ag::Dropout(h, cfg_.dropout, training, rng);
     }
     type_embeddings.push_back(h);
   }
+  if (!cfg_.use_cfo) return type_embeddings[0];
 
   // Eq. 12: node-wise attention over types.
   std::vector<Tensor> scores;

@@ -20,9 +20,17 @@
 //   use_cfo=false  -> CFO(-): one SAO chain on the homogeneous union
 //                     graph, no type distinction.
 //   both false     -> Both(-).
+//
+// Receptive field. Chain r reads only its own adjacency, so rows
+// [0, m) of its output depend on `rows[0]` alone, where rows[L] = [0, m)
+// and rows[k-1] = rows[k] plus their neighbours in that adjacency. The
+// tape-free forward computes layer k on rows[k] only; every kernel it runs
+// is row-local, so the kept rows keep their bits (DESIGN.md §8).
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
 #include "gnn/model.h"
 
@@ -48,10 +56,26 @@ class Hag : public gnn::GnnModel {
   ag::Tensor Embed(const gnn::GraphBatch& batch, bool training,
                    Rng* rng) override;
   la::Matrix EmbedInference(const gnn::GraphBatch& batch) const override;
+  /// Computes only the targets' receptive field (see the top of this
+  /// file): bit-identical to the target rows of LogitsInference().
+  la::Matrix TargetLogitsInference(
+      const gnn::GraphBatch& batch) const override;
   std::vector<ag::Tensor> Params() const override;
   std::string name() const override;
 
   const HagConfig& config() const { return cfg_; }
+
+  /// The one adjacency view the forward reads: type_mean with CFO,
+  /// union_mean without.
+  gnn::BatchAdjacency adjacency() const {
+    return cfg_.use_cfo ? gnn::BatchAdjacency::kTypeMean
+                        : gnn::BatchAdjacency::kUnionMean;
+  }
+
+  /// The batch rows whose features the targets' logits read, ascending:
+  /// the union over chains of each chain's layer-0 row set. Needs only
+  /// the batch's adjacency(). Every other row may hold anything.
+  std::vector<uint32_t> InputRows(const gnn::GraphBatch& batch) const;
 
  private:
   /// One SAO layer's parameters (Eq. 5–9) for one edge type.
@@ -72,11 +96,32 @@ class Hag : public gnn::GnnModel {
   SaoLayer MakeSaoLayer(int d_in, int d_out, Rng* rng) const;
   ag::Tensor ApplySao(const SaoLayer& layer, const ag::Tensor& h,
                       const la::SparseMatrix& mean_adj) const;
-  la::Matrix ApplySaoInference(const SaoLayer& layer, const la::Matrix& h,
+  /// One SAO layer for the rows `h_self`: `mean_adj` holds those rows,
+  /// and its columns index the rows of `h`.
+  la::Matrix ApplySaoInference(const SaoLayer& layer,
+                               const la::Matrix& h_self, const la::Matrix& h,
                                const la::SparseMatrix& mean_adj) const;
 
+  /// SAO chains the forward runs: one per edge type with CFO, else one
+  /// on the union graph.
+  int num_chains() const { return cfg_.use_cfo ? kNumEdgeTypes : 1; }
+  const std::vector<SaoLayer>& ChainLayers(int c) const {
+    return chains_.size() == 1 ? chains_[0] : chains_[c];
+  }
+  const la::SparseMatrix& ChainAdjacency(const gnn::GraphBatch& batch,
+                                         int c) const {
+    return cfg_.use_cfo ? batch.type_mean[c] : batch.union_mean;
+  }
+
+  /// The tape-free forward for rows [0, num_rows): each chain computes
+  /// layer k only on the rows layer k+1 reads, then CFO runs on the
+  /// output rows.
+  la::Matrix EmbedRowsInference(const gnn::GraphBatch& batch,
+                                size_t num_rows) const;
+
   HagConfig cfg_;
-  /// chains_[type][layer]; with use_cfo=false there is a single chain.
+  /// chains_[type][layer] with type-specific CFO chains; otherwise one
+  /// chain, which every type shares (ChainLayers).
   std::vector<std::vector<SaoLayer>> chains_;
   std::vector<CfoType> cfo_;
 };

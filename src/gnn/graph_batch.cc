@@ -8,20 +8,32 @@ GraphBatch MakeGraphBatch(const bn::Subgraph& sg,
                           const la::Matrix& all_features) {
   TURBO_CHECK(!sg.nodes.empty());
   const size_t n = sg.nodes.size();
-  GraphBatch batch;
-  batch.global_ids = sg.nodes;
-  batch.num_targets = sg.num_targets;
-  batch.features = la::Matrix(n, all_features.cols());
+  la::Matrix features(n, all_features.cols());
   for (size_t i = 0; i < n; ++i) {
     TURBO_CHECK_LT(sg.nodes[i], all_features.rows());
     const float* src = all_features.row(sg.nodes[i]);
-    std::copy(src, src + all_features.cols(), batch.features.row(i));
+    std::copy(src, src + all_features.cols(), features.row(i));
   }
+  return MakeGraphBatch(sg, std::move(features), BatchAdjacency::kAll);
+}
+
+GraphBatch MakeGraphBatch(const bn::Subgraph& sg, la::Matrix features,
+                          BatchAdjacency adjacency) {
+  TURBO_CHECK(!sg.nodes.empty());
+  const size_t n = sg.nodes.size();
+  TURBO_CHECK_EQ(features.rows(), n);
+  GraphBatch batch;
+  batch.global_ids = sg.nodes;
+  batch.num_targets = sg.num_targets;
+  batch.features = std::move(features);
 
   // Per-type adjacency.
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    batch.type_mean[t] =
-        la::SparseMatrix::FromTriplets(n, n, sg.edges[t]).RowNormalized();
+  if (adjacency != BatchAdjacency::kUnionMean) {
+    for (int t = 0; t < kNumEdgeTypes; ++t) {
+      batch.type_mean[t] =
+          la::SparseMatrix::FromTriplets(n, n, sg.edges[t]).RowNormalized();
+    }
+    if (adjacency == BatchAdjacency::kTypeMean) return batch;
   }
 
   // Union graph: merge triplets across types.
@@ -34,6 +46,7 @@ GraphBatch MakeGraphBatch(const bn::Subgraph& sg,
   }
   batch.union_mean =
       la::SparseMatrix::FromTriplets(n, n, all_edges).RowNormalized();
+  if (adjacency == BatchAdjacency::kUnionMean) return batch;
 
   // Self-loop variants.
   std::vector<la::Triplet> with_self = all_edges;

@@ -40,11 +40,23 @@ struct GraphBatch {
   size_t num_nodes() const { return features.rows(); }
 };
 
+/// The adjacency views a batch carries.
+enum class BatchAdjacency {
+  kAll,        // every view
+  kTypeMean,   // type_mean only: all that HAG reads with CFO
+  kUnionMean,  // union_mean only: all that HAG's CFO(-) reads
+};
+
 /// Assembles a batch from a sampled subgraph; `all_features` is indexed by
 /// global user id (rows). Subgraph edge weights are used as-is — pass a
 /// subgraph sampled from a degree-normalized BnSnapshot (the default
-/// Build() option) to match the paper's pipeline.
+/// Build() option) to match the paper's pipeline. Builds every view.
 GraphBatch MakeGraphBatch(const bn::Subgraph& sg,
                           const la::Matrix& all_features);
+
+/// Assembles a batch with only the `adjacency` views. `features` is
+/// already aligned with the subgraph's local rows: [sg.nodes.size(), d].
+GraphBatch MakeGraphBatch(const bn::Subgraph& sg, la::Matrix features,
+                          BatchAdjacency adjacency);
 
 }  // namespace turbo::gnn

@@ -74,6 +74,12 @@ class GnnModel {
     return head_.ForwardInference(EmbedInference(batch));
   }
 
+  /// Tape-free logits of the target rows only, [num_targets, 1]: rows
+  /// [0, num_targets) of LogitsInference(), bit for bit. The default
+  /// slices them; a model that can skip the rows no target reads
+  /// overrides this.
+  virtual la::Matrix TargetLogitsInference(const GraphBatch& batch) const;
+
   virtual std::vector<ag::Tensor> Params() const = 0;
   virtual std::string name() const = 0;
 

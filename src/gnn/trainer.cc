@@ -10,6 +10,22 @@ namespace turbo::gnn {
 
 using ag::Tensor;
 
+namespace {
+
+/// Sigmoid of the first `rows` logits of a [n, 1] matrix, in double.
+std::vector<double> Probabilities(const la::Matrix& logits, size_t rows) {
+  TURBO_CHECK_LE(rows, logits.rows());
+  std::vector<double> out(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    const float z = logits(i, 0);
+    out[i] = z >= 0.0f ? 1.0 / (1.0 + std::exp(-z))
+                       : std::exp(z) / (1.0 + std::exp(z));
+  }
+  return out;
+}
+
+}  // namespace
+
 void MlpHead::Init(int in_dim, int hidden, Rng* rng) {
   w1_ = ag::Param(la::Matrix::Glorot(in_dim, hidden, rng), "head_w1");
   b1_ = ag::Param(la::Matrix(1, hidden), "head_b1");
@@ -34,6 +50,14 @@ la::Matrix MlpHead::ForwardInference(const la::Matrix& h) const {
 
 std::vector<Tensor> MlpHead::Params() const {
   return {w1_, b1_, w2_, b2_};
+}
+
+la::Matrix GnnModel::TargetLogitsInference(const GraphBatch& batch) const {
+  const la::Matrix all = LogitsInference(batch);
+  TURBO_CHECK_LE(batch.num_targets, all.rows());
+  la::Matrix out(batch.num_targets, all.cols());
+  std::copy(all.data(), all.data() + out.size(), out.data());
+  return out;
 }
 
 double GnnTrainer::Fit(GnnModel* model, const GraphBatch& batch,
@@ -75,14 +99,9 @@ double GnnTrainer::Fit(GnnModel* model, const GraphBatch& batch,
 
 std::vector<double> GnnTrainer::PredictAll(GnnModel* model,
                                            const GraphBatch& batch) {
-  Tensor logits = model->Logits(batch, /*training=*/false, nullptr);
-  std::vector<double> out(batch.num_nodes());
-  for (size_t i = 0; i < out.size(); ++i) {
-    const float z = logits->value(i, 0);
-    out[i] = z >= 0.0f ? 1.0 / (1.0 + std::exp(-z))
-                       : std::exp(z) / (1.0 + std::exp(z));
-  }
-  return out;
+  return Probabilities(
+      model->Logits(batch, /*training=*/false, nullptr)->value,
+      batch.num_nodes());
 }
 
 std::vector<double> GnnTrainer::PredictTargets(GnnModel* model,
@@ -92,23 +111,10 @@ std::vector<double> GnnTrainer::PredictTargets(GnnModel* model,
   return all;
 }
 
-std::vector<double> GnnTrainer::PredictAllInference(const GnnModel& model,
-                                                    const GraphBatch& batch) {
-  la::Matrix logits = model.LogitsInference(batch);
-  std::vector<double> out(batch.num_nodes());
-  for (size_t i = 0; i < out.size(); ++i) {
-    const float z = logits(i, 0);
-    out[i] = z >= 0.0f ? 1.0 / (1.0 + std::exp(-z))
-                       : std::exp(z) / (1.0 + std::exp(z));
-  }
-  return out;
-}
-
 std::vector<double> GnnTrainer::PredictTargetsInference(
     const GnnModel& model, const GraphBatch& batch) {
-  auto all = PredictAllInference(model, batch);
-  all.resize(batch.num_targets);
-  return all;
+  return Probabilities(model.TargetLogitsInference(batch),
+                       batch.num_targets);
 }
 
 }  // namespace turbo::gnn

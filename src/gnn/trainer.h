@@ -42,13 +42,11 @@ class GnnTrainer {
   static std::vector<double> PredictAll(GnnModel* model,
                                         const GraphBatch& batch);
 
-  /// Tape-free variants over GnnModel::LogitsInference — identical
-  /// predictions (same kernels), none of the tape's Node/closure
-  /// allocation. These are what the serving path calls.
+  /// Tape-free PredictTargets over GnnModel::TargetLogitsInference: no
+  /// tape Node/closure allocation, and a model may skip the rows no
+  /// target reads. The serving path's forward.
   static std::vector<double> PredictTargetsInference(const GnnModel& model,
                                                      const GraphBatch& batch);
-  static std::vector<double> PredictAllInference(const GnnModel& model,
-                                                 const GraphBatch& batch);
 
  private:
   TrainConfig cfg_;

@@ -179,6 +179,15 @@ Matrix SliceCols(const Matrix& a, size_t start, size_t len) {
   return out;
 }
 
+Matrix GatherRows(const Matrix& a, const std::vector<uint32_t>& rows) {
+  Matrix out(rows.size(), a.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    TURBO_CHECK_LT(rows[i], a.rows());
+    std::copy(a.row(rows[i]), a.row(rows[i]) + a.cols(), out.row(i));
+  }
+  return out;
+}
+
 bool AllClose(const Matrix& a, const Matrix& b, float atol, float rtol) {
   if (!a.same_shape(b)) return false;
   for (size_t i = 0; i < a.size(); ++i) {

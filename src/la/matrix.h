@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,8 @@ namespace turbo::la {
 inline constexpr std::size_t kMatrixAlignment = 64;
 
 template <typename T>
-using AlignedVector = std::vector<T, util::AlignedAllocator<T, kMatrixAlignment>>;
+using AlignedVector =
+    std::vector<T, util::AlignedAllocator<T, kMatrixAlignment>>;
 
 class Matrix {
  public:
@@ -179,6 +181,9 @@ Matrix Col(const Matrix& a, size_t c);
 
 /// Columns [start, start+len) as an [m, len] matrix.
 Matrix SliceCols(const Matrix& a, size_t start, size_t len);
+
+/// Rows `rows` of `a`, in that order, as a [rows.size(), n] matrix.
+Matrix GatherRows(const Matrix& a, const std::vector<uint32_t>& rows);
 
 /// True if the shapes match and every element pair is equal, or finite
 /// with |a-b| <= atol + rtol*|b|. NaN never passes.

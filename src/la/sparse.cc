@@ -80,6 +80,28 @@ SparseMatrix SparseMatrix::RowNormalized() const {
   return out;
 }
 
+SparseMatrix SparseMatrix::SelectRows(const std::vector<uint32_t>& rows,
+                                      const std::vector<int32_t>& col_map,
+                                      size_t cols) const {
+  TURBO_CHECK_EQ(col_map.size(), cols_);
+  SparseMatrix m;
+  m.rows_ = rows.size();
+  m.cols_ = cols;
+  m.row_ptr_.reserve(rows.size() + 1);
+  m.row_ptr_.push_back(0);
+  for (uint32_t r : rows) {
+    TURBO_CHECK_LT(r, rows_);
+    for (uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const int32_t c = col_map[col_idx_[k]];
+      TURBO_CHECK(c >= 0 && static_cast<size_t>(c) < cols);
+      m.col_idx_.push_back(static_cast<uint32_t>(c));
+      m.values_.push_back(values_[k]);
+    }
+    m.row_ptr_.push_back(static_cast<uint32_t>(m.col_idx_.size()));
+  }
+  return m;
+}
+
 Matrix SparseMatrix::ToDense() const {
   Matrix d(rows_, cols_);
   for (size_t r = 0; r < rows_; ++r) {

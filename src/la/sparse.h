@@ -50,6 +50,16 @@ class SparseMatrix {
   /// sum stay zero). Used for mean-aggregation adjacency.
   SparseMatrix RowNormalized() const;
 
+  /// Rows `rows` of this matrix, in that order, with each column c
+  /// renumbered to col_map[c] in a matrix of `cols` columns. Values and
+  /// each row's entry order are copied unchanged, so a product of the
+  /// result with the matching rows of a dense operand yields the same
+  /// bits per row as the product of the whole. Every column that a kept
+  /// row references must map into [0, cols).
+  SparseMatrix SelectRows(const std::vector<uint32_t>& rows,
+                          const std::vector<int32_t>& col_map,
+                          size_t cols) const;
+
   Matrix ToDense() const;
 
  private:

@@ -45,6 +45,8 @@ PredictionServer::PredictionServer(PredictionConfig config, BnServer* bn,
   total_ms_ = metrics_->GetHistogram("predict_total_ms");
   subgraph_nodes_ = metrics_->GetHistogram(
       "predict_subgraph_nodes", obs::Histogram::DefaultSizeBuckets());
+  feature_rows_ = metrics_->GetHistogram(
+      "predict_feature_rows", obs::Histogram::DefaultSizeBuckets());
   batch_size_ = metrics_->GetHistogram("predict_batch_size",
                                        obs::Histogram::DefaultSizeBuckets());
 }
@@ -108,8 +110,12 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
     for (size_t idx : miss) targets.push_back(uids[idx]);
 
     // 1) BN server: one merged computation subgraph from one pinned
-    // snapshot (target rows come first, in `targets` order).
+    // snapshot (target rows come first, in `targets` order), its
+    // adjacency in the one view HAG reads, and the rows whose features
+    // the targets' probabilities read.
     bn::Subgraph sg;
+    gnn::GraphBatch batch;
+    std::vector<uint32_t> rows;
     {
       auto span = trace.StartSpan("sample");
       storage::SimClock sample_clock;
@@ -118,29 +124,36 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
       // query per node's adjacency rows.
       sample_clock.ChargeQuery(storage::MediumCost::InMemoryCache(),
                                static_cast<int64_t>(sg.NumEdges()));
+      batch = gnn::MakeGraphBatch(
+          sg, la::Matrix(sg.nodes.size(), scaler_->mean().size()),
+          model_->adjacency());
+      rows = model_->InputRows(batch);
       span.AddModeledMillis(sample_clock.ElapsedMillis());
       sample_total = span.Stop();
     }
     version = sg.snapshot_version;
     subgraph_nodes_->Observe(static_cast<double>(sg.nodes.size()));
+    feature_rows_->Observe(static_cast<double>(rows.size()));
 
-    // 2) Feature management: raw features for every sampled node, scaled
-    // with the training scaler.
-    la::Matrix scaled;
+    // 2) Feature management: raw features for the rows HAG reads, scaled
+    // with the training scaler. The other rows stay zero; no target's
+    // probability reads them.
     {
       auto span = trace.StartSpan("feature");
       storage::SimClock feature_clock;
-      la::Matrix raw;
-      for (size_t i = 0; i < sg.nodes.size(); ++i) {
-        auto row =
-            features_->GetFeatures(sg.nodes[i], as_of, &feature_clock);
-        TURBO_CHECK_MSG(!row.empty(), "no profile row for uid "
-                                          << sg.nodes[i]);
-        if (raw.empty()) raw = la::Matrix(sg.nodes.size(), row.size());
+      la::Matrix raw(rows.size(), batch.features.cols());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const UserId uid = sg.nodes[rows[i]];
+        auto row = features_->GetFeatures(uid, as_of, &feature_clock);
+        TURBO_CHECK_MSG(!row.empty(), "no profile row for uid " << uid);
         TURBO_CHECK_EQ(row.size(), raw.cols());
         std::copy(row.begin(), row.end(), raw.row(i));
       }
-      scaled = scaler_->Transform(raw);
+      const la::Matrix scaled = scaler_->Transform(raw);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        std::copy(scaled.row(i), scaled.row(i) + scaled.cols(),
+                  batch.features.row(rows[i]));
+      }
       span.AddModeledMillis(feature_clock.ElapsedMillis());
       feature_total = span.Stop();
     }
@@ -148,18 +161,6 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
     // 3) Prediction server: one merged model forward for the batch.
     {
       auto span = trace.StartSpan("inference");
-      gnn::GraphBatch batch;
-      {
-        // MakeGraphBatch gathers feature rows by the ids in sg.nodes; the
-        // scaled matrix here is already local-row aligned, so remap the
-        // node list to the identity and restore the global ids afterwards.
-        bn::Subgraph local = sg;
-        for (size_t i = 0; i < local.nodes.size(); ++i) {
-          local.nodes[i] = static_cast<UserId>(i);
-        }
-        batch = gnn::MakeGraphBatch(local, scaled);
-        batch.global_ids = sg.nodes;
-      }
       const std::vector<double> probs =
           config_.use_inference_path
               ? gnn::GnnTrainer::PredictTargetsInference(*model_, batch)

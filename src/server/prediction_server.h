@@ -27,16 +27,25 @@
 //    changes a served prediction (bit-identical; see
 //    tests/server/admission_control_test.cc).
 //
-// With `use_inference_path` the model forward runs tape-free
-// (GnnModel::EmbedInference — no autograd Node/closure allocation),
-// which is prediction-identical to the autograd forward (see
-// tests/core/inference_equivalence_test). With `cache_capacity` > 0,
-// predictions are memoized in an LRU keyed by (uid, snapshot version):
-// entries are naturally unreachable once a new snapshot is published and
-// the whole cache is dropped on version change.
+// Each batch computes only what its targets' probabilities depend on.
+// The sample stage builds just the adjacency view HAG reads and asks
+// HAG which rows its forward reads (Hag::InputRows, the targets'
+// receptive field); the feature stage fetches those rows only and leaves
+// the rest zero. With `use_inference_path` the forward runs tape-free
+// and computes only the receptive field's rows
+// (GnnTrainer::PredictTargetsInference); without it, the autograd
+// forward runs over every row. Either way each served probability is
+// bit-identical to a forward over the full sampled subgraph with every
+// node's features (tests/server/prediction_server_test.cc), and the two
+// paths agree to float tolerance (tests/core/inference_equivalence_test).
 //
-// Latency accounting: compute stages (sampling, batch assembly, model
-// forward) are measured in real wall-clock time; storage accesses
+// With `cache_capacity` > 0, predictions are memoized in an LRU keyed by
+// (uid, snapshot version): entries are naturally unreachable once a new
+// snapshot is published and the whole cache is dropped on version
+// change.
+//
+// Latency accounting: compute stages (sampling with batch assembly,
+// model forward) are measured in real wall-clock time; storage accesses
 // additionally charge their modeled cost to a SimClock so the cached vs
 // uncached comparison of Section V is reproducible without real network
 // round-trips (see DESIGN.md §2). Every batch runs under an
@@ -71,11 +80,13 @@ namespace turbo::server {
 struct PredictionConfig {
   /// Online blocking threshold (Section VI-E uses 0.85).
   double threshold = 0.85;
-  /// Run the tape-free forward (GnnModel::EmbedInference) instead of the
-  /// autograd forward. Equivalent predictions (float-tolerance, see
+  /// Run the tape-free targets-only forward
+  /// (GnnTrainer::PredictTargetsInference) instead of the autograd
+  /// forward. Equivalent predictions (float-tolerance, see
   /// tests/core/inference_equivalence_test); skips all tape allocation
-  /// and runs the runtime-dispatched SIMD kernels. Off by default so
-  /// existing callers keep byte-for-byte behavior.
+  /// and every row no target reads, and runs the runtime-dispatched SIMD
+  /// kernels. Off by default so existing callers keep byte-for-byte
+  /// behavior.
   bool use_inference_path = false;
   /// Must stay false (the constructor CHECKs it): the server serves
   /// float weights only. Kept until its last caller stops assigning it.
@@ -117,6 +128,9 @@ struct BatchingConfig {
 struct PredictionResponse {
   double fraud_probability = 0.0;
   bool blocked = false;
+  /// Nodes in the batch's sampled subgraph, not the rows whose features
+  /// the batch fetched (the predict_feature_rows histogram counts those).
+  /// The wire format and the serving benches read it.
   int subgraph_nodes = 0;
   /// Id of the request within this server (1-based, monotonic).
   uint64_t request_id = 0;
@@ -251,6 +265,7 @@ class PredictionServer {
   obs::Histogram* inference_ms_ = nullptr;
   obs::Histogram* total_ms_ = nullptr;
   obs::Histogram* subgraph_nodes_ = nullptr;
+  obs::Histogram* feature_rows_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
 
   // Snapshot-versioned prediction cache (LruCache is not thread-safe;

@@ -9,6 +9,10 @@
 // ISA is pinned to scalar here so this test measures only that
 // reassociation; SIMD-tier drift vs scalar is bounded separately by
 // tests/core/simd_equivalence_test.cc.
+//
+// HAG's targets-only forward (TargetLogitsInference, the serving path)
+// is checked against its own full tape-free forward instead, bit for
+// bit and on both tiers.
 #include <memory>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "gnn/trainer.h"
 #include "la/cpu_features.h"
 #include "tests/core/test_graphs.h"
+#include "tests/la/ulp_test_util.h"
 
 namespace turbo::core {
 namespace {
@@ -89,6 +94,68 @@ TEST(InferenceEquivalenceTest, HagTypeSpecificChains) {
   cfg.share_type_weights = false;
   Hag model(cfg);
   ExpectInferenceMatchesAutograd(&model, batch);
+}
+
+/// HAG's targets-only forward computes each chain's receptive field
+/// only. Its logits must equal the target rows of the full forward bit
+/// for bit, on every kernel tier the host has, and must not read the
+/// features of any row outside InputRows().
+void ExpectTargetLogitsMatchFull(Hag* model, int num_targets) {
+  const gnn::GraphBatch train = testing::MakePath(12, 36);
+  {
+    la::ScopedKernelIsa scalar(la::KernelIsa::kScalar);
+    model->Init(static_cast<int>(train.features.cols()));
+    gnn::TrainConfig tcfg;
+    tcfg.epochs = 8;
+    gnn::GnnTrainer trainer(tcfg);
+    trainer.Fit(model, train, AlternatingLabels(train.num_targets));
+  }
+  const gnn::GraphBatch batch = testing::MakePath(12, 36, num_targets);
+  // The path's far end lies outside every receptive field, so the
+  // forward must skip rows and cannot pass by computing all of them.
+  const std::vector<uint32_t> rows = model->InputRows(batch);
+  ASSERT_LT(rows.size(), batch.num_nodes());
+  gnn::GraphBatch pruned = batch;
+  std::vector<char> read(batch.num_nodes(), 0);
+  for (uint32_t r : rows) read[r] = 1;
+  for (size_t r = 0; r < batch.num_nodes(); ++r) {
+    if (!read[r]) pruned.features.row(r)[0] = 1e3f;
+  }
+  for (la::KernelIsa isa : {la::KernelIsa::kScalar, la::KernelIsa::kAvx2}) {
+    if (!la::IsaSupported(isa)) continue;
+    SCOPED_TRACE(la::IsaName(isa));
+    la::ScopedKernelIsa forced(isa);
+    // The base class's body: rows [0, num_targets) of LogitsInference.
+    const la::Matrix full = model->gnn::GnnModel::TargetLogitsInference(batch);
+    ASSERT_EQ(full.rows(), batch.num_targets);
+    la::testing::ExpectBitEqual(full, model->TargetLogitsInference(batch),
+                                "targets-only logits");
+    la::testing::ExpectBitEqual(full, model->TargetLogitsInference(pruned),
+                                "targets-only logits, unread rows changed");
+  }
+}
+
+TEST(InferenceEquivalenceTest, HagTargetLogitsEqualFullForwardBitForBit) {
+  for (bool use_sao : {true, false}) {
+    for (bool use_cfo : {true, false}) {
+      for (bool share : {true, false}) {
+        for (int num_targets : {1, 3}) {
+          HagConfig cfg;
+          cfg.hidden = {8, 4};
+          cfg.attention_dim = 4;
+          cfg.mlp_hidden = 4;
+          cfg.use_sao = use_sao;
+          cfg.use_cfo = use_cfo;
+          cfg.share_type_weights = share;
+          Hag model(cfg);
+          SCOPED_TRACE(::testing::Message()
+                       << model.name() << " share=" << share
+                       << " targets=" << num_targets);
+          ExpectTargetLogitsMatchFull(&model, num_targets);
+        }
+      }
+    }
+  }
 }
 
 TEST(InferenceEquivalenceTest, Gcn) {

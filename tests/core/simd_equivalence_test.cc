@@ -2,10 +2,10 @@
 // LogitsInference under the AVX2 tier, where the host supports it, must
 // stay within 4 ULP (with a cancellation abs-floor) of the forced-scalar
 // inference path, for HAG under every SAO x CFO ablation combo and for
-// all three baselines. This is the end-to-end companion of the kernel-level sweep
-// in tests/la/dispatch_test.cc: kernels that individually stay within a
-// few ULP could still compound through layers, so the bound here is on
-// the full forward.
+// all three baselines. This is the end-to-end companion of the
+// kernel-level sweep in tests/la/dispatch_test.cc: kernels that
+// individually stay within a few ULP could still compound through
+// layers, so the bound here is on the full forward.
 #include <cmath>
 #include <limits>
 #include <memory>

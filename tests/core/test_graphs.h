@@ -28,11 +28,13 @@ inline gnn::GraphBatch MakeClique(int m, uint64_t seed) {
   return gnn::MakeGraphBatch(sg, features);
 }
 
-/// Path graph 0-1-2-...-(m-1), edges alternating between types 0 and 1.
-inline gnn::GraphBatch MakePath(int m, uint64_t seed) {
+/// Path graph 0-1-2-...-(m-1), edges alternating between types 0 and 1;
+/// nodes [0, num_targets) are the targets (all nodes when negative). The
+/// features depend on `m` and `seed` only.
+inline gnn::GraphBatch MakePath(int m, uint64_t seed, int num_targets = -1) {
   Rng rng(seed);
   bn::Subgraph sg;
-  sg.num_targets = m;
+  sg.num_targets = num_targets < 0 ? m : num_targets;
   for (int i = 0; i < m; ++i) {
     sg.nodes.push_back(static_cast<UserId>(i));
     sg.local[static_cast<UserId>(i)] = i;

@@ -96,6 +96,29 @@ TEST(GraphBatchTest, SingletonSubgraph) {
   EXPECT_FLOAT_EQ(batch.union_rw_self.ToDense()(0, 0), 1.0f);
 }
 
+TEST(GraphBatchTest, LeanBatchBuildsOnlyTheRequestedView) {
+  const auto full = MakeGraphBatch(MakeSubgraph(), MakeFeatures());
+  const auto typed = MakeGraphBatch(MakeSubgraph(), full.features,
+                                    BatchAdjacency::kTypeMean);
+  const auto merged = MakeGraphBatch(MakeSubgraph(), full.features,
+                                     BatchAdjacency::kUnionMean);
+  for (const GraphBatch* b : {&typed, &merged}) {
+    EXPECT_EQ(b->global_ids, full.global_ids);
+    EXPECT_EQ(b->num_targets, full.num_targets);
+    EXPECT_TRUE(la::AllClose(b->features, full.features, 0.0f, 0.0f));
+    EXPECT_EQ(b->union_rw_self.nnz(), 0u);
+    EXPECT_EQ(b->union_self_structure.nnz(), 0u);
+  }
+  for (int t = 0; t < kNumEdgeTypes; ++t) {
+    EXPECT_EQ(typed.type_mean[t].values(), full.type_mean[t].values());
+    EXPECT_EQ(typed.type_mean[t].col_idx(), full.type_mean[t].col_idx());
+    EXPECT_EQ(merged.type_mean[t].rows(), 0u);
+  }
+  EXPECT_EQ(typed.union_mean.rows(), 0u);
+  EXPECT_EQ(merged.union_mean.values(), full.union_mean.values());
+  EXPECT_EQ(merged.union_mean.col_idx(), full.union_mean.col_idx());
+}
+
 TEST(GraphBatchDeathTest, GlobalIdOutOfFeatureRangeAborts) {
   bn::Subgraph sg;
   sg.nodes = {99};

@@ -97,6 +97,32 @@ TEST(SparseDeathTest, OutOfRangeTripletAborts) {
                "CHECK failed");
 }
 
+TEST(SparseTest, SelectRowsTimesGatheredRowsEqualsRowsOfProduct) {
+  // Rows 3 and 1, in that order, under the identity column map.
+  const auto m = MakeExample();
+  const SparseMatrix sel = m.SelectRows({3, 1}, {0, 1, 2}, 3);
+  EXPECT_EQ(sel.nnz(), 4u);
+  EXPECT_TRUE(AllClose(sel.ToDense(),
+                       Matrix::FromRows({{4, 5, 0}, {1, 0, 3}}), 0.0f, 0.0f));
+
+  // Row 1 reads columns 0 and 2 only; renumber them 0 and 1, and the
+  // product with those rows of x matches row 1 of the full product.
+  const SparseMatrix row1 = m.SelectRows({1}, {0, -1, 1}, 2);
+  Rng rng(3);
+  const Matrix x = Matrix::Randn(3, 5, &rng);
+  const Matrix full = m.Multiply(x);
+  const Matrix got = row1.Multiply(GatherRows(x, {0, 2}));
+  ASSERT_EQ(got.rows(), 1u);
+  for (size_t j = 0; j < x.cols(); ++j) {
+    EXPECT_EQ(got(0, j), full(1, j)) << j;  // same terms, same order
+  }
+}
+
+TEST(SparseDeathTest, SelectRowsRejectsUnmappedColumn) {
+  EXPECT_DEATH(MakeExample().SelectRows({3}, {0, -1, 1}, 2),
+               "CHECK failed");
+}
+
 TEST(SparseTest, LargeRandomAgainstDense) {
   Rng rng(7);
   std::vector<Triplet> trips;

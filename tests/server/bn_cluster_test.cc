@@ -47,9 +47,11 @@ BehaviorLogList Traffic(SimTime t0, SimTime t1, int n) {
   for (int i = 0; i < n; ++i) {
     const SimTime t = t0 + (i * 977 * kMinute) % (t1 - t0);
     logs.push_back(BehaviorLog{static_cast<UserId>(i * 13 % kUsers),
-                               BehaviorType::kIpv4, static_cast<ValueId>(1 + i % 9), t});
+                               BehaviorType::kIpv4,
+                               static_cast<ValueId>(1 + i % 9), t});
     logs.push_back(BehaviorLog{static_cast<UserId>(i * 7 % kUsers),
-                               BehaviorType::kWifiMac, static_cast<ValueId>(100 + i % 5), t});
+                               BehaviorType::kWifiMac,
+                               static_cast<ValueId>(100 + i % 5), t});
   }
   return logs;
 }

@@ -55,10 +55,10 @@ BnServerConfig CrashShardConfig() {
   BnCluster cluster(ccfg);
   uint64_t i = 0;
   for (SimTime t = 0;; t += 5 * kMinute, ++i) {
-    const BehaviorLog a{static_cast<UserId>(i * 13 % 64),
-                        BehaviorType::kIpv4, static_cast<ValueId>(1 + i % 9), t};
-    const BehaviorLog b{static_cast<UserId>(i * 7 % 64),
-                        BehaviorType::kWifiMac, static_cast<ValueId>(100 + i % 5), t};
+    const BehaviorLog a{static_cast<UserId>(i * 13 % 64), BehaviorType::kIpv4,
+                        static_cast<ValueId>(1 + i % 9), t};
+    const BehaviorLog b{static_cast<UserId>(i * 7 % 64), BehaviorType::kWifiMac,
+                        static_cast<ValueId>(100 + i % 5), t};
     // Open loop: offer, drain when the rings fill, never block.
     if (!cluster.OfferIngest(a)) cluster.DrainIngest();
     if (!cluster.OfferIngest(b)) cluster.DrainIngest();

@@ -4,6 +4,7 @@
 #include "server/prediction_server.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -52,8 +53,11 @@ class PredictionServerTest : public ::testing::Test {
           u, std::vector<float>(
                  row, row + data_->dataset.profile_features.cols()));
     }
-    server_ = new PredictionServer(PredictionConfig{}, bn_, features_,
-                                   model_, &data_->scaler);
+    metrics_ = new obs::MetricsRegistry();
+    PredictionConfig scfg;
+    scfg.metrics = metrics_;
+    server_ = new PredictionServer(scfg, bn_, features_, model_,
+                                   &data_->scaler);
 
     // Streaming replay: handle every test user at application + 24h,
     // in audit-time order.
@@ -73,6 +77,7 @@ class PredictionServerTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete replay_;
     delete server_;
+    delete metrics_;
     delete features_;
     delete bn_;
     delete model_;
@@ -84,6 +89,7 @@ class PredictionServerTest : public ::testing::Test {
   static core::Hag* model_;
   static BnServer* bn_;
   static features::FeatureStore* features_;
+  static obs::MetricsRegistry* metrics_;
   static PredictionServer* server_;
   static Replay* replay_;
 };
@@ -92,6 +98,7 @@ core::PreparedData* PredictionServerTest::data_ = nullptr;
 core::Hag* PredictionServerTest::model_ = nullptr;
 BnServer* PredictionServerTest::bn_ = nullptr;
 features::FeatureStore* PredictionServerTest::features_ = nullptr;
+obs::MetricsRegistry* PredictionServerTest::metrics_ = nullptr;
 PredictionServer* PredictionServerTest::server_ = nullptr;
 Replay* PredictionServerTest::replay_ = nullptr;
 
@@ -120,9 +127,17 @@ TEST_F(PredictionServerTest, MetricsRegistryExposesServingPath) {
   for (const char* name :
        {"predict_requests_total", "predict_sample_ms",
         "predict_feature_ms", "predict_inference_ms", "predict_total_ms",
-        "predict_subgraph_nodes"}) {
+        "predict_subgraph_nodes", "predict_feature_rows"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
+  // The server fetches features only for the rows HAG reads, fewer than
+  // it samples over the replay.
+  const obs::Histogram* sampled =
+      metrics_->GetHistogram("predict_subgraph_nodes");
+  const obs::Histogram* fetched =
+      metrics_->GetHistogram("predict_feature_rows");
+  EXPECT_EQ(fetched->count(), replay_->responses.size());
+  EXPECT_LT(fetched->Sum(), sampled->Sum());
   const std::string json = reg.RenderJson();
   EXPECT_NE(json.find("\"predict_total_ms\""), std::string::npos);
   // Request ids are per-server and monotonic.
@@ -163,6 +178,71 @@ TEST_F(PredictionServerTest, FraudSubgraphsAreLarger) {
   ASSERT_GT(nf, 0);
   ASSERT_GT(nn, 0);
   EXPECT_GT(fraud_nodes / nf, normal_nodes / nn);
+}
+
+/// Sigmoid as GnnTrainer computes it from a float logit.
+double Sigmoid(float z) {
+  return z >= 0.0f ? 1.0 / (1.0 + std::exp(-z))
+                   : std::exp(z) / (1.0 + std::exp(z));
+}
+
+TEST_F(PredictionServerTest, HandleBatchEqualsUnprunedForwardBitForBit) {
+  // The reference rebuilds the request path without pruning: every
+  // sampled node's features, every adjacency view, and a forward over
+  // every row. The server must serve its probabilities bit for bit.
+  auto reference = [&](const std::vector<UserId>& uids,
+                       bool inference_path) {
+    const bn::Subgraph sg = bn_->SampleSubgraph(uids);
+    la::Matrix raw;
+    for (size_t i = 0; i < sg.nodes.size(); ++i) {
+      const auto row = features_->GetFeatures(sg.nodes[i], bn_->now());
+      if (raw.empty()) raw = la::Matrix(sg.nodes.size(), row.size());
+      std::copy(row.begin(), row.end(), raw.row(i));
+    }
+    bn::Subgraph local = sg;
+    for (size_t i = 0; i < local.nodes.size(); ++i) {
+      local.nodes[i] = static_cast<UserId>(i);
+    }
+    const gnn::GraphBatch batch =
+        gnn::MakeGraphBatch(local, data_->scaler.Transform(raw));
+    std::vector<double> probs(sg.num_targets);
+    if (inference_path) {
+      const la::Matrix logits = model_->LogitsInference(batch);
+      for (size_t i = 0; i < probs.size(); ++i) {
+        probs[i] = Sigmoid(logits(i, 0));
+      }
+    } else {
+      probs = gnn::GnnTrainer::PredictTargets(model_, batch);
+    }
+    std::vector<double> out;
+    for (UserId u : uids) out.push_back(probs[sg.local.at(u)]);
+    return out;
+  };
+
+  size_t checked = 0;
+  for (bool inference_path : {false, true}) {
+    SCOPED_TRACE(inference_path ? "tape-free" : "autograd");
+    PredictionConfig cfg;
+    cfg.use_inference_path = inference_path;
+    PredictionServer fresh(cfg, bn_, features_, model_, &data_->scaler);
+    std::vector<std::vector<UserId>> batches;
+    for (size_t i = 0; i + 8 <= replay_->uids.size() && i < 64; i += 8) {
+      batches.emplace_back(replay_->uids.begin() + i,
+                           replay_->uids.begin() + i + 8);
+    }
+    for (size_t i = 0; i < replay_->uids.size() && i < 32; ++i) {
+      batches.push_back({replay_->uids[replay_->uids.size() - 1 - i]});
+    }
+    for (const auto& uids : batches) {
+      const auto served = fresh.HandleBatch(uids);
+      const auto want = reference(uids, inference_path);
+      for (size_t j = 0; j < uids.size(); ++j) {
+        EXPECT_EQ(served[j].fraud_probability, want[j]) << "uid " << uids[j];
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * (64 + 32));
 }
 
 TEST_F(PredictionServerTest, DuplicateUidsInOneBatchGetIdenticalScores) {

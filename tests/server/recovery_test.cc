@@ -50,7 +50,8 @@ BehaviorLogList Traffic(SimTime t0, SimTime t1, int n) {
     const SimTime t = t0 + (i * 977 * kMinute) % (t1 - t0);
     logs.push_back(L(static_cast<UserId>(i * 13 % 64), 1 + i % 9, t));
     logs.push_back(BehaviorLog{static_cast<UserId>(i * 7 % 64),
-                               BehaviorType::kWifiMac, static_cast<ValueId>(100 + i % 5), t});
+                               BehaviorType::kWifiMac,
+                               static_cast<ValueId>(100 + i % 5), t});
   }
   return logs;
 }

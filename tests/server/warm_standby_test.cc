@@ -46,9 +46,11 @@ BehaviorLogList Traffic(SimTime t0, SimTime t1, int n) {
   for (int i = 0; i < n; ++i) {
     const SimTime t = t0 + (i * 977 * kMinute) % (t1 - t0);
     logs.push_back(BehaviorLog{static_cast<UserId>(i * 13 % kUsers),
-                               BehaviorType::kIpv4, static_cast<ValueId>(1 + i % 9), t});
+                               BehaviorType::kIpv4,
+                               static_cast<ValueId>(1 + i % 9), t});
     logs.push_back(BehaviorLog{static_cast<UserId>(i * 7 % kUsers),
-                               BehaviorType::kWifiMac, static_cast<ValueId>(100 + i % 5), t});
+                               BehaviorType::kWifiMac,
+                               static_cast<ValueId>(100 + i % 5), t});
   }
   return logs;
 }
@@ -139,7 +141,8 @@ TEST(WarmStandbyTest, TornFinalSegmentWaitsThenResumes) {
   rig.Ship();
   const std::vector<uint64_t> seqs = storage::ListWalSegments(rig.replica_dir);
   ASSERT_FALSE(seqs.empty());
-  const std::string last = storage::WalSegmentPath(rig.replica_dir, seqs.back());
+  const std::string last =
+      storage::WalSegmentPath(rig.replica_dir, seqs.back());
   const size_t full_size = static_cast<size_t>(fs::file_size(last));
   fs::resize_file(last, full_size - 3);
   auto torn_or = storage::ReadWalSegment(last);
@@ -199,7 +202,8 @@ TEST(WarmStandbyTest, PromoteSealsTornTailAndBecomesDurablePrimary) {
   // The primary dies mid-append: the last shipped segment ends torn.
   const std::vector<uint64_t> seqs = storage::ListWalSegments(rig.replica_dir);
   ASSERT_FALSE(seqs.empty());
-  const std::string last = storage::WalSegmentPath(rig.replica_dir, seqs.back());
+  const std::string last =
+      storage::WalSegmentPath(rig.replica_dir, seqs.back());
   auto before_or = storage::ReadWalSegment(last);
   ASSERT_TRUE(before_or.ok());
   const size_t clean_records = before_or.value().records.size();

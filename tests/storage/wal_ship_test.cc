@@ -77,7 +77,8 @@ TEST(WalShipTest, FirstShipCopiesEverything) {
   EXPECT_GT(stats.segment_bytes_appended, 0u);
 
   // Byte-identical copies, parseable as clean segments.
-  EXPECT_EQ(ReadBytes(WalSegmentPath(dst, 1)), ReadBytes(WalSegmentPath(src, 1)));
+  EXPECT_EQ(ReadBytes(WalSegmentPath(dst, 1)),
+            ReadBytes(WalSegmentPath(src, 1)));
   EXPECT_EQ(ReadBytes(dst + "/checkpoint.bin"), "fake-checkpoint-bytes");
   auto seg_or = ReadWalSegment(WalSegmentPath(dst, 2));
   ASSERT_TRUE(seg_or.ok());
@@ -116,8 +117,10 @@ TEST(WalShipTest, GrowingSegmentShipsOnlyTheNewTail) {
   ASSERT_TRUE(w.Append(WalRecord::Ingest(L(2, 102, 2 * kMinute))).ok());
   ASSERT_TRUE(w.Append(WalRecord::Advance(kHour)).ok());
   ASSERT_TRUE(w.Flush().ok());
-  const size_t grown = static_cast<size_t>(fs::file_size(WalSegmentPath(src, 1)));
-  const size_t before = static_cast<size_t>(fs::file_size(WalSegmentPath(dst, 1)));
+  const size_t grown =
+      static_cast<size_t>(fs::file_size(WalSegmentPath(src, 1)));
+  const size_t before =
+      static_cast<size_t>(fs::file_size(WalSegmentPath(dst, 1)));
 
   auto stats_or = ShipWalDir(src, dst);
   ASSERT_TRUE(stats_or.ok());

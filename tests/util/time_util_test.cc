@@ -25,7 +25,7 @@ TEST(TimeUtilTest, FormatNegative) {
 TEST(StopwatchTest, MeasuresElapsed) {
   Stopwatch sw;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMicros(), sw.ElapsedMillis());
 }
