@@ -109,7 +109,6 @@ double MeasureCapacity(ServingStack* s, size_t requests) {
   obs::MetricsRegistry reg;
   server::PredictionConfig pcfg;
   pcfg.metrics = &reg;
-  pcfg.use_inference_path = true;
   server::PredictionServer srv(pcfg, s->bn.get(), s->features.get(),
                                s->model.get(), &s->data->scaler);
   constexpr int kBatch = 8;
@@ -147,7 +146,6 @@ LoadRun RunOne(ServingStack* s, double rate_x, int workers, bool gate,
   obs::MetricsRegistry reg;
   server::PredictionConfig pcfg;
   pcfg.metrics = &reg;
-  pcfg.use_inference_path = true;
   server::PredictionServer srv(pcfg, s->bn.get(), s->features.get(),
                                s->model.get(), &s->data->scaler);
 

@@ -14,15 +14,10 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   /// Applies one update using each parameter's accumulated gradient, then
-  /// leaves the gradients untouched (call ZeroGrad separately or use
-  /// StepAndZero).
+  /// leaves the gradients untouched (call ZeroGrad separately).
   virtual void Step() = 0;
 
   void ZeroGrad();
-  void StepAndZero() {
-    Step();
-    ZeroGrad();
-  }
 
   const std::vector<Tensor>& params() const { return params_; }
 

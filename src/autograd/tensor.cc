@@ -14,14 +14,7 @@ void Node::AccumGrad(const la::Matrix& g) {
   }
 }
 
-const la::Matrix& Node::GradOrZero() {
-  if (!grad.empty()) return grad;
-  if (zero_cache_.rows() != value.rows() ||
-      zero_cache_.cols() != value.cols()) {
-    zero_cache_ = la::Matrix(value.rows(), value.cols(), 0.0f);
-  }
-  return zero_cache_;
-}
+Node::~Node() = default;
 
 Tensor Constant(la::Matrix value, std::string name) {
   return std::make_shared<Node>(std::move(name), std::move(value), false);

@@ -136,15 +136,13 @@ class BnBuilder {
   /// Expired-edge endpoints are recorded in the pending churn set.
   size_t ExpireOld(SimTime now);
 
-  /// Both endpoints of every edge touched (weight added or expired) since
-  /// the last TakeChurn() call. This is the churn set the incremental
-  /// snapshot and delta-checkpoint paths consume: a node absent from it
-  /// has a bit-identical adjacency row in the EdgeStore.
-  const storage::EdgeChurn& PendingChurn() const { return pending_churn_; }
-
-  /// Returns the pending churn set and resets the accumulator. The
-  /// caller (BnServer) merges it into its per-consumer churn sets — one
-  /// cleared at each snapshot publish, one at each checkpoint.
+  /// Returns both endpoints of every edge touched (weight added or
+  /// expired) since the last call, and resets the accumulator. This is
+  /// the churn set the incremental snapshot and delta-checkpoint paths
+  /// consume: a node absent from it has a bit-identical adjacency row in
+  /// the EdgeStore. The caller (BnServer) merges it into its
+  /// per-consumer churn sets — one cleared at each snapshot publish, one
+  /// at each checkpoint.
   storage::EdgeChurn TakeChurn();
 
   /// Drops cached base-window buckets for epochs ending at or before
@@ -253,7 +251,7 @@ class BnBuilder {
   BnConfig config_;
   storage::EdgeStore* edges_;
   util::ThreadPool* pool_ = nullptr;
-  /// Endpoints touched since the last TakeChurn() (see PendingChurn).
+  /// Endpoints touched since the last TakeChurn().
   storage::EdgeChurn pending_churn_;
   /// Running BucketBytes() total over the cache (see CachedBucketBytes).
   size_t cache_bytes_ = 0;

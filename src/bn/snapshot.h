@@ -208,9 +208,6 @@ class BnSnapshot {
             g.offsets[local + 1] - begin};
   }
 
-  size_t Degree(int edge_type, UserId u) const {
-    return Neighbors(edge_type, u).size();
-  }
   double WeightedDegree(int edge_type, UserId u) const;
 
   /// Undirected edge count per type and total (each edge stored twice).
@@ -348,9 +345,6 @@ class GraphView {
     return snapshot_->Neighbors(edge_type, u);
   }
 
-  size_t Degree(int edge_type, UserId u) const {
-    return Neighbors(edge_type, u).size();
-  }
   double WeightedDegree(int edge_type, UserId u) const;
 
   /// Union of neighbors across enabled edge types (deduplicated, weights

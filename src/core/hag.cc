@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "la/kernel_dispatch.h"
+
 namespace turbo::core {
 
 using ag::Tensor;
@@ -216,11 +218,15 @@ la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
   return EmbedRowsInference(batch, batch.num_nodes());
 }
 
+la::Matrix Hag::LogitsInference(const gnn::GraphBatch& batch) const {
+  return head_.ForwardInference(EmbedInference(batch));
+}
+
 la::Matrix Hag::TargetLogitsInference(const gnn::GraphBatch& batch) const {
   return head_.ForwardInference(EmbedRowsInference(batch, batch.num_targets));
 }
 
-Tensor Hag::Embed(const gnn::GraphBatch& batch, bool training, Rng* rng) {
+Tensor Hag::Embed(const gnn::GraphBatch& batch, bool training, Rng* rng) const {
   TURBO_CHECK(!chains_.empty());
   Tensor x = InputTensor(batch);
 

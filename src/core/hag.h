@@ -54,10 +54,21 @@ class Hag : public gnn::GnnModel {
 
   void Init(int in_dim) override;
   ag::Tensor Embed(const gnn::GraphBatch& batch, bool training,
-                   Rng* rng) override;
-  la::Matrix EmbedInference(const gnn::GraphBatch& batch) const override;
-  /// Computes only the targets' receptive field (see the top of this
-  /// file): bit-identical to the target rows of LogitsInference().
+                   Rng* rng) const override;
+
+  /// Tape-free forward: Embed(batch, training=false) recomputed on raw
+  /// la::Matrix values — no Node allocation, no backward closures —
+  /// through the runtime-dispatched SIMD kernels (la::dispatch). It
+  /// matches the scalar autograd forward to float tolerance
+  /// (tests/core/inference_equivalence_test), and its AVX2 tier stays
+  /// within 4 ULP of its scalar one (tests/core/simd_equivalence_test).
+  /// Ignores SetInputOverride: it always reads batch.features.
+  la::Matrix EmbedInference(const gnn::GraphBatch& batch) const;
+  /// Tape-free Logits: classification head over EmbedInference().
+  la::Matrix LogitsInference(const gnn::GraphBatch& batch) const;
+  /// The serving forward: the tape-free forward over the targets'
+  /// receptive field only (see the top of this file), bit-identical to
+  /// the target rows of LogitsInference().
   la::Matrix TargetLogitsInference(
       const gnn::GraphBatch& batch) const override;
   std::vector<ag::Tensor> Params() const override;

@@ -8,39 +8,30 @@ using ag::Node;
 using ag::Tensor;
 using la::Matrix;
 
-namespace {
-
-/// Forward shared by the autograd op and the tape-free inference entry:
-/// per-edge softmax attention, normalized alphas (and lrelu'(z) signs)
-/// written to the caller's buffers, aggregated output returned. Both
-/// paths run this exact code, so their results are bit-identical.
-Matrix GatForward(const la::SparseMatrix& structure, const Matrix& h,
-                  const Matrix& s, const Matrix& d, float leaky_slope,
-                  std::vector<float>* alpha_out,
-                  std::vector<float>* zsign_out) {
+Tensor GatAggregate(const la::SparseMatrix& structure, const Tensor& h,
+                    const Tensor& s, const Tensor& d, float leaky_slope) {
   const size_t n = structure.rows();
   TURBO_CHECK_EQ(structure.cols(), n);
-  TURBO_CHECK_EQ(h.rows(), n);
-  TURBO_CHECK_EQ(s.rows(), n);
-  TURBO_CHECK_EQ(s.cols(), 1u);
-  TURBO_CHECK_EQ(d.rows(), n);
-  TURBO_CHECK_EQ(d.cols(), 1u);
-  const size_t f = h.cols();
+  TURBO_CHECK_EQ(h->rows(), n);
+  TURBO_CHECK_EQ(s->rows(), n);
+  TURBO_CHECK_EQ(s->cols(), 1u);
+  TURBO_CHECK_EQ(d->rows(), n);
+  TURBO_CHECK_EQ(d->cols(), 1u);
+  const size_t f = h->cols();
 
+  // Forward: per-edge softmax attention. The normalized alphas and the
+  // lrelu'(z) signs are kept for the backward.
   const auto& row_ptr = structure.row_ptr();
   const auto& col_idx = structure.col_idx();
-
-  std::vector<float>& alpha = *alpha_out;
-  std::vector<float>& zsign = *zsign_out;
-  alpha.assign(structure.nnz(), 0.0f);
-  zsign.assign(structure.nnz(), 0.0f);  // lrelu'(z)
+  std::vector<float> alpha(structure.nnz(), 0.0f);
+  std::vector<float> zsign(structure.nnz(), 0.0f);
   Matrix out(n, f);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t begin = row_ptr[i], end = row_ptr[i + 1];
     if (begin == end) continue;
     float mx = -std::numeric_limits<float>::infinity();
     for (uint32_t k = begin; k < end; ++k) {
-      const float z = s(i, 0) + d(col_idx[k], 0);
+      const float z = s->value(i, 0) + d->value(col_idx[k], 0);
       const float e = z > 0.0f ? z : leaky_slope * z;
       zsign[k] = z > 0.0f ? 1.0f : leaky_slope;
       alpha[k] = e;
@@ -55,28 +46,10 @@ Matrix GatForward(const la::SparseMatrix& structure, const Matrix& h,
     float* orow = out.row(i);
     for (uint32_t k = begin; k < end; ++k) {
       alpha[k] *= inv;
-      const float* hrow = h.row(col_idx[k]);
+      const float* hrow = h->value.row(col_idx[k]);
       for (size_t c = 0; c < f; ++c) orow[c] += alpha[k] * hrow[c];
     }
   }
-  return out;
-}
-
-}  // namespace
-
-Matrix GatAggregateInference(const la::SparseMatrix& structure,
-                             const Matrix& h, const Matrix& s,
-                             const Matrix& d, float leaky_slope) {
-  std::vector<float> alpha, zsign;
-  return GatForward(structure, h, s, d, leaky_slope, &alpha, &zsign);
-}
-
-Tensor GatAggregate(const la::SparseMatrix& structure, const Tensor& h,
-                    const Tensor& s, const Tensor& d, float leaky_slope) {
-  std::vector<float> alpha, zsign;
-  Matrix out = GatForward(structure, h->value, s->value, d->value,
-                          leaky_slope, &alpha, &zsign);
-  const size_t f = h->cols();
 
   la::SparseMatrix st = structure;  // keep structure alive in the closure
   return ag::MakeOp(

@@ -18,12 +18,4 @@ ag::Tensor GatAggregate(const la::SparseMatrix& structure,
                         const ag::Tensor& h, const ag::Tensor& s,
                         const ag::Tensor& d, float leaky_slope = 0.2f);
 
-/// Tape-free forward of GatAggregate on raw matrices: shares the forward
-/// kernel with the autograd op (identical bits), skips the per-edge
-/// alpha/zsign retention and Node allocation. Serving-path only.
-la::Matrix GatAggregateInference(const la::SparseMatrix& structure,
-                                 const la::Matrix& h, const la::Matrix& s,
-                                 const la::Matrix& d,
-                                 float leaky_slope = 0.2f);
-
 }  // namespace turbo::gnn

@@ -6,7 +6,6 @@
 
 #include "autograd/ops.h"
 #include "gnn/graph_batch.h"
-#include "la/kernel_dispatch.h"
 #include "util/rng.h"
 
 namespace turbo::gnn {
@@ -48,36 +47,21 @@ class GnnModel {
 
   /// Final node embeddings [n, d_k] — the representation the influence
   /// analysis (Definition 1) differentiates. `training` enables dropout.
+  /// Every model computes its answers through this one forward; only
+  /// HAG, the served model, adds a tape-free one (core::Hag).
   virtual ag::Tensor Embed(const GraphBatch& batch, bool training,
-                           Rng* rng) = 0;
+                           Rng* rng) const = 0;
 
   /// Per-node logits [n, 1]: classification head over Embed().
-  ag::Tensor Logits(const GraphBatch& batch, bool training, Rng* rng) {
+  ag::Tensor Logits(const GraphBatch& batch, bool training,
+                    Rng* rng) const {
     return head_.Forward(Embed(batch, training, rng));
   }
 
-  /// Tape-free forward: Embed(batch, training=false) recomputed on raw
-  /// la::Matrix values — no Node allocation, no backward closures, no
-  /// std::function dispatch — through the runtime-dispatched SIMD
-  /// kernels (la::dispatch) with fused SpMM/GEMM epilogues. The
-  /// autograd forward stays on the plain scalar la:: kernels, so the
-  /// two paths agree to tight float tolerance rather than bit-for-bit:
-  /// SIMD tiers differ by FMA contraction (<= 4 ULP, enforced by
-  /// tests/core/simd_equivalence_test) and some models reassociate
-  /// aggregate-and-transform for fusion (verified in
-  /// tests/core/inference_equivalence_test). Ignores SetInputOverride
-  /// (serving path only — always reads batch.features).
-  virtual la::Matrix EmbedInference(const GraphBatch& batch) const = 0;
-
-  /// Tape-free Logits: classification head over EmbedInference().
-  la::Matrix LogitsInference(const GraphBatch& batch) const {
-    return head_.ForwardInference(EmbedInference(batch));
-  }
-
-  /// Tape-free logits of the target rows only, [num_targets, 1]: rows
-  /// [0, num_targets) of LogitsInference(), bit for bit. The default
-  /// slices them; a model that can skip the rows no target reads
-  /// overrides this.
+  /// Logits of the target rows only, [num_targets, 1]: the serving
+  /// forward (GnnTrainer::PredictTargetsInference). The default returns
+  /// rows [0, num_targets) of the eval-mode Logits(); HAG overrides it
+  /// with its tape-free forward over the targets' receptive field.
   virtual la::Matrix TargetLogitsInference(const GraphBatch& batch) const;
 
   virtual std::vector<ag::Tensor> Params() const = 0;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "autograd/optimizer.h"
+#include "la/kernel_dispatch.h"
 #include "ml/model.h"
 
 namespace turbo::gnn {
@@ -53,7 +54,8 @@ std::vector<Tensor> MlpHead::Params() const {
 }
 
 la::Matrix GnnModel::TargetLogitsInference(const GraphBatch& batch) const {
-  const la::Matrix all = LogitsInference(batch);
+  const Tensor logits = Logits(batch, /*training=*/false, nullptr);
+  const la::Matrix& all = logits->value;
   TURBO_CHECK_LE(batch.num_targets, all.rows());
   la::Matrix out(batch.num_targets, all.cols());
   std::copy(all.data(), all.data() + out.size(), out.data());

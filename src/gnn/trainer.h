@@ -42,9 +42,9 @@ class GnnTrainer {
   static std::vector<double> PredictAll(GnnModel* model,
                                         const GraphBatch& batch);
 
-  /// Tape-free PredictTargets over GnnModel::TargetLogitsInference: no
-  /// tape Node/closure allocation, and a model may skip the rows no
-  /// target reads. The serving path's forward.
+  /// Sigmoid(GnnModel::TargetLogitsInference): the serving path's
+  /// forward. HAG runs it tape-free over the targets' receptive field;
+  /// for a baseline it equals PredictTargets bit for bit.
   static std::vector<double> PredictTargetsInference(const GnnModel& model,
                                                      const GraphBatch& batch);
 

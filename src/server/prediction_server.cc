@@ -10,7 +10,7 @@ namespace turbo::server {
 
 PredictionServer::PredictionServer(PredictionConfig config, BnServer* bn,
                                    features::FeatureStore* features,
-                                   core::Hag* model,
+                                   const core::Hag* model,
                                    const ml::StandardScaler* scaler)
     : config_(config),
       bn_(bn),
@@ -162,9 +162,7 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
     {
       auto span = trace.StartSpan("inference");
       const std::vector<double> probs =
-          config_.use_inference_path
-              ? gnn::GnnTrainer::PredictTargetsInference(*model_, batch)
-              : gnn::GnnTrainer::PredictTargets(model_, batch);
+          gnn::GnnTrainer::PredictTargetsInference(*model_, batch);
       // One probability per distinct target: a batch naming the same uid
       // twice (e.g. a retry racing its original) collapses to one target
       // row in the sampler, so map each request position back through

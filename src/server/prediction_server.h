@@ -31,18 +31,16 @@
 // The sample stage builds just the adjacency view HAG reads and asks
 // HAG which rows its forward reads (Hag::InputRows, the targets'
 // receptive field); the feature stage fetches those rows only and leaves
-// the rest zero. With `use_inference_path` the forward runs tape-free
-// and computes only the receptive field's rows
-// (GnnTrainer::PredictTargetsInference); without it, the autograd
-// forward runs over every row. Either way each served probability is
-// bit-identical to a forward over the full sampled subgraph with every
-// node's features (tests/server/prediction_server_test.cc), and the two
-// paths agree to float tolerance (tests/core/inference_equivalence_test).
+// the rest zero. The inference stage runs HAG's one serving forward
+// (GnnTrainer::PredictTargetsInference): tape-free, over the receptive
+// field's rows only. Each served probability is bit-identical to HAG's
+// tape-free forward over the full sampled subgraph with every node's
+// features (tests/server/prediction_server_test.cc).
 //
 // With `cache_capacity` > 0, predictions are memoized in an LRU keyed by
-// (uid, snapshot version): entries are naturally unreachable once a new
-// snapshot is published and the whole cache is dropped on version
-// change.
+// (shard_tag, snapshot version, uid): entries are naturally unreachable
+// once a new snapshot is published and the whole cache is dropped on
+// version change.
 //
 // Latency accounting: compute stages (sampling with batch assembly,
 // model forward) are measured in real wall-clock time; storage accesses
@@ -80,13 +78,8 @@ namespace turbo::server {
 struct PredictionConfig {
   /// Online blocking threshold (Section VI-E uses 0.85).
   double threshold = 0.85;
-  /// Run the tape-free targets-only forward
-  /// (GnnTrainer::PredictTargetsInference) instead of the autograd
-  /// forward. Equivalent predictions (float-tolerance, see
-  /// tests/core/inference_equivalence_test); skips all tape allocation
-  /// and every row no target reads, and runs the runtime-dispatched SIMD
-  /// kernels. Off by default so existing callers keep byte-for-byte
-  /// behavior.
+  /// Has no effect: the server always runs HAG's tape-free forward.
+  /// Kept until its last caller stops assigning it.
   bool use_inference_path = false;
   /// Must stay false (the constructor CHECKs it): the server serves
   /// float weights only. Kept until its last caller stops assigning it.
@@ -172,7 +165,7 @@ class PredictionServer {
   /// `model` must already be trained; `scaler` must be the one fitted on
   /// the training features; `features` serves raw (unscaled) rows.
   PredictionServer(PredictionConfig config, BnServer* bn,
-                   features::FeatureStore* features, core::Hag* model,
+                   features::FeatureStore* features, const core::Hag* model,
                    const ml::StandardScaler* scaler);
   ~PredictionServer();
 
@@ -249,7 +242,7 @@ class PredictionServer {
   PredictionConfig config_;
   BnServer* bn_;
   features::FeatureStore* features_;
-  core::Hag* model_;
+  const core::Hag* model_;
   const ml::StandardScaler* scaler_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;

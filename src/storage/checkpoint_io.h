@@ -204,7 +204,6 @@ class CheckpointReader {
   }
   /// Section payload (view into the reader's buffer), empty if absent.
   std::string_view Find(const std::string& name) const;
-  size_t FileBytes() const { return file_->size(); }
 
   CheckpointKind kind() const { return kind_; }
   uint64_t covered_seq() const { return covered_seq_; }

@@ -21,14 +21,17 @@
 namespace turbo::storage {
 
 struct EdgeInfo {
-  /// Accumulated in double on purpose: every increment is a float-valued
-  /// 1/N term (>= 1/max-bucket-size) and realistic totals stay far below
-  /// 2^13, so each partial sum is exactly representable in a double's 53
-  /// mantissa bits. Exact sums are order-independent, which is what lets
-  /// the sharded window-job engine merge per-shard deltas in any
-  /// interleaving — and the offline builder replay any job order — and
-  /// still produce bit-identical weights (see DESIGN.md "Ingestion &
-  /// window jobs").
+  /// Accumulated in double on purpose: every increment is the float 1/N
+  /// of a bucket of N users (1 without inverse weighting). A bucket over
+  /// BnConfig::max_bucket_users keeps its true 1/N too (the builder
+  /// samples its pairs, not its weight), so N is not capped. With N_max
+  /// the largest bucket seen, every term is a float >= 2^-c, where
+  /// c = ceil(log2 N_max), hence a multiple of 2^-(23+c); every partial
+  /// sum below 2^(30-c) (2^21 for N_max <= 512) is then an exact double.
+  /// Exact sums are order-independent, which is what lets the sharded
+  /// window-job engine merge per-shard deltas in any interleaving — and
+  /// the offline builder replay any job order — and still produce
+  /// bit-identical weights (see DESIGN.md "Ingestion & window jobs").
   double weight = 0.0;
   SimTime last_update = 0;
 };

@@ -235,27 +235,24 @@ Result<WalShipStats> ShipWal(const std::string& src, WalShipSink* sink,
     stats.max_segment_seq = seq;
   }
 
-  if (options.mirror_deletes) {
-    const std::set<uint64_t> live(src_segments.begin(),
-                                  src_segments.end());
-    const std::set<uint64_t> live_deltas(src_deltas.begin(),
-                                         src_deltas.end());
-    auto names_or = sink->ListFiles();
-    if (!names_or.ok()) return names_or.status();
-    for (const std::string& name : names_or.value()) {
-      uint64_t seq = 0;
-      bool dead = false;
-      if (ParseSegmentName(name, &seq)) {
-        dead = live.count(seq) == 0;
-      } else if (ParseDeltaName(name, &seq)) {
-        dead = live_deltas.count(seq) == 0;
-      } else if (name == kCheckpointFile) {
-        dead = !have_ckpt;
-      }
-      if (!dead) continue;  // live, or a foreign file we never touch
-      TURBO_RETURN_IF_ERROR(sink->Delete(name));
-      ++stats.files_deleted;
+  // Mirror checkpoint rotation: drop the files `src` no longer has.
+  const std::set<uint64_t> live(src_segments.begin(), src_segments.end());
+  const std::set<uint64_t> live_deltas(src_deltas.begin(), src_deltas.end());
+  auto names_or = sink->ListFiles();
+  if (!names_or.ok()) return names_or.status();
+  for (const std::string& name : names_or.value()) {
+    uint64_t seq = 0;
+    bool dead = false;
+    if (ParseSegmentName(name, &seq)) {
+      dead = live.count(seq) == 0;
+    } else if (ParseDeltaName(name, &seq)) {
+      dead = live_deltas.count(seq) == 0;
+    } else if (name == kCheckpointFile) {
+      dead = !have_ckpt;
     }
+    if (!dead) continue;  // live, or a foreign file we never touch
+    TURBO_RETURN_IF_ERROR(sink->Delete(name));
+    ++stats.files_deleted;
   }
   return stats;
 }

@@ -20,9 +20,9 @@
 //    (size + CRC32 compare against the sink's stat — the bytes never
 //    travel when nothing changed); delta-checkpoint files are immutable
 //    once published and are copied at most once.
-//  * With mirror_deletes, files the primary's checkpoint rotation
-//    removed are removed from the sink too, so the replica directory
-//    stays a valid Recover target and does not grow without bound.
+//  * Files the primary's checkpoint rotation removed are removed from
+//    the sink too, so the replica directory stays a valid Recover
+//    target and does not grow without bound.
 //
 // WalShipSink abstracts the destination: LocalDirSink writes a local
 // replica directory (ShipWalDir keeps the original dir-to-dir
@@ -45,10 +45,6 @@
 namespace turbo::storage {
 
 struct WalShipOptions {
-  /// Remove files from the sink that no longer exist in `src`
-  /// (checkpoint rotation deletes covered segments and superseded delta
-  /// files).
-  bool mirror_deletes = true;
   /// Segment tails are appended in pieces of at most this many bytes —
   /// the tear granularity when a ship dies mid-push.
   size_t append_chunk_bytes = 1 << 20;

@@ -1,18 +1,18 @@
-// Tape-free inference equivalence: EmbedInference / LogitsInference /
-// PredictTargetsInference must reproduce the autograd forward (Embed with
-// training=false) on trained weights, for HAG under every ablation-flag
-// combination and for all three baselines.
+// The serving forward of every model, GnnTrainer::PredictTargetsInference.
 //
-// The inference path reassociates some layer algebra for the fused SpMM
-// epilogues (e.g. ReLU((A H) W) -> SpmmBiasAct(A, H*W)), so equivalence
-// to autograd is float-tolerance (AllClose), not bit-for-bit. The kernel
-// ISA is pinned to scalar here so this test measures only that
-// reassociation; SIMD-tier drift vs scalar is bounded separately by
-// tests/core/simd_equivalence_test.cc.
+// HAG, the served model, has a tape-free forward: Hag::EmbedInference /
+// LogitsInference must reproduce the autograd forward (Embed with
+// training=false) on trained weights under every ablation-flag
+// combination. It runs different kernels (dispatched, fused GEMM
+// epilogues), so the match is float-tolerance (AllClose), not bit for
+// bit. The kernel ISA is pinned to scalar here; SIMD-tier drift against
+// scalar is bounded separately by tests/core/simd_equivalence_test.cc.
+// HAG's targets-only forward (TargetLogitsInference) must equal the
+// target rows of its full tape-free forward bit for bit, on both tiers.
 //
-// HAG's targets-only forward (TargetLogitsInference, the serving path)
-// is checked against its own full tape-free forward instead, bit for
-// bit and on both tiers.
+// GCN, GraphSAGE and GAT have only their autograd forward, so their
+// serving forward must equal PredictTargets bit for bit.
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -39,8 +39,7 @@ std::vector<int> AlternatingLabels(size_t n) {
 /// Trains briefly (so the weights are not at init), then checks the
 /// tape-free forward against the autograd forward at every level:
 /// embeddings, logits, and sigmoid predictions.
-void ExpectInferenceMatchesAutograd(gnn::GnnModel* model,
-                                    const gnn::GraphBatch& batch) {
+void ExpectInferenceMatchesAutograd(Hag* model, const gnn::GraphBatch& batch) {
   la::ScopedKernelIsa scalar(la::KernelIsa::kScalar);
   model->Init(static_cast<int>(batch.features.cols()));
   gnn::TrainConfig tcfg;
@@ -125,9 +124,11 @@ void ExpectTargetLogitsMatchFull(Hag* model, int num_targets) {
     if (!la::IsaSupported(isa)) continue;
     SCOPED_TRACE(la::IsaName(isa));
     la::ScopedKernelIsa forced(isa);
-    // The base class's body: rows [0, num_targets) of LogitsInference.
-    const la::Matrix full = model->gnn::GnnModel::TargetLogitsInference(batch);
-    ASSERT_EQ(full.rows(), batch.num_targets);
+    // Rows [0, num_targets) of the full tape-free forward.
+    const la::Matrix all = model->LogitsInference(batch);
+    ASSERT_GT(all.rows(), batch.num_targets);
+    la::Matrix full(batch.num_targets, all.cols());
+    std::copy(all.data(), all.data() + full.size(), full.data());
     la::testing::ExpectBitEqual(full, model->TargetLogitsInference(batch),
                                 "targets-only logits");
     la::testing::ExpectBitEqual(full, model->TargetLogitsInference(pruned),
@@ -158,33 +159,51 @@ TEST(InferenceEquivalenceTest, HagTargetLogitsEqualFullForwardBitForBit) {
   }
 }
 
+/// A baseline's serving forward is its eval-mode autograd forward, so
+/// after brief training PredictTargetsInference must equal PredictTargets
+/// bit for bit. The batch has fewer targets than nodes, so the target
+/// rows are sliced out of a larger forward.
+void ExpectServingForwardIsAutograd(gnn::GnnModel* model) {
+  const gnn::GraphBatch batch = testing::MakePath(12, 33, /*num_targets=*/5);
+  model->Init(static_cast<int>(batch.features.cols()));
+  gnn::TrainConfig tcfg;
+  tcfg.epochs = 8;
+  gnn::GnnTrainer trainer(tcfg);
+  trainer.Fit(model, batch, AlternatingLabels(batch.num_targets));
+
+  const auto probs = gnn::GnnTrainer::PredictTargets(model, batch);
+  const auto served = gnn::GnnTrainer::PredictTargetsInference(*model, batch);
+  ASSERT_EQ(probs.size(), batch.num_targets);
+  ASSERT_EQ(served.size(), probs.size());
+  for (size_t i = 0; i < probs.size(); ++i) {
+    EXPECT_EQ(probs[i], served[i]) << model->name() << " prediction " << i;
+  }
+}
+
 TEST(InferenceEquivalenceTest, Gcn) {
-  const gnn::GraphBatch batch = testing::MakeClique(10, 33);
   gnn::GnnConfig cfg;
   cfg.hidden = {8, 4};
   cfg.mlp_hidden = 4;
   gnn::Gcn model(cfg);
-  ExpectInferenceMatchesAutograd(&model, batch);
+  ExpectServingForwardIsAutograd(&model);
 }
 
 TEST(InferenceEquivalenceTest, GraphSage) {
-  const gnn::GraphBatch batch = testing::MakeClique(10, 34);
   gnn::GnnConfig cfg;
   cfg.hidden = {8, 4};
   cfg.mlp_hidden = 4;
   gnn::GraphSage model(cfg);
-  ExpectInferenceMatchesAutograd(&model, batch);
+  ExpectServingForwardIsAutograd(&model);
 }
 
 TEST(InferenceEquivalenceTest, Gat) {
-  const gnn::GraphBatch batch = testing::MakePath(12, 35);
   gnn::GnnConfig cfg;
   cfg.hidden = {8, 4};
   cfg.mlp_hidden = 4;
   cfg.attention_dim = 4;
   cfg.gat_heads = 2;
   gnn::Gat model(cfg);
-  ExpectInferenceMatchesAutograd(&model, batch);
+  ExpectServingForwardIsAutograd(&model);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// SIMD-tier equivalence at model level: EmbedInference and
-// LogitsInference under the AVX2 tier, where the host supports it, must
-// stay within 4 ULP (with a cancellation abs-floor) of the forced-scalar
-// inference path, for HAG under every SAO x CFO ablation combo and for
-// all three baselines. This is the end-to-end companion of the
-// kernel-level sweep in tests/la/dispatch_test.cc: kernels that
+// SIMD-tier equivalence at model level: HAG's tape-free EmbedInference
+// and LogitsInference under the AVX2 tier, where the host supports it,
+// must stay within 4 ULP (with a cancellation abs-floor) of the
+// forced-scalar inference path, under every SAO x CFO ablation combo.
+// HAG is the only model with a tape-free forward, so the only one whose
+// forward runs the dispatched kernels. This is the end-to-end companion
+// of the kernel-level sweep in tests/la/dispatch_test.cc: kernels that
 // individually stay within a few ULP could still compound through
 // layers, so the bound here is on the full forward.
 #include <cmath>
@@ -14,9 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "core/hag.h"
-#include "gnn/gat.h"
-#include "gnn/gcn.h"
-#include "gnn/sage.h"
 #include "gnn/trainer.h"
 #include "la/cpu_features.h"
 #include "tests/core/test_graphs.h"
@@ -46,8 +44,7 @@ float ModelFloor(const la::Matrix& ref) {
 /// Trains briefly (training always runs the scalar table; the scalar
 /// scope covers the reference forward), then checks the AVX2 tier, when
 /// the host supports it, against the forced-scalar inference forward.
-void ExpectSimdMatchesScalar(gnn::GnnModel* model,
-                             const gnn::GraphBatch& batch) {
+void ExpectSimdMatchesScalar(Hag* model, const gnn::GraphBatch& batch) {
   la::Matrix emb_ref, logits_ref;
   {
     la::ScopedKernelIsa scalar(la::KernelIsa::kScalar);
@@ -92,35 +89,6 @@ TEST(SimdEquivalenceTest, HagTypeSpecificChains) {
   cfg.mlp_hidden = 4;
   cfg.share_type_weights = false;
   Hag model(cfg);
-  ExpectSimdMatchesScalar(&model, batch);
-}
-
-TEST(SimdEquivalenceTest, Gcn) {
-  const gnn::GraphBatch batch = testing::MakeClique(10, 43);
-  gnn::GnnConfig cfg;
-  cfg.hidden = {8, 4};
-  cfg.mlp_hidden = 4;
-  gnn::Gcn model(cfg);
-  ExpectSimdMatchesScalar(&model, batch);
-}
-
-TEST(SimdEquivalenceTest, GraphSage) {
-  const gnn::GraphBatch batch = testing::MakeClique(10, 44);
-  gnn::GnnConfig cfg;
-  cfg.hidden = {8, 4};
-  cfg.mlp_hidden = 4;
-  gnn::GraphSage model(cfg);
-  ExpectSimdMatchesScalar(&model, batch);
-}
-
-TEST(SimdEquivalenceTest, Gat) {
-  const gnn::GraphBatch batch = testing::MakePath(12, 45);
-  gnn::GnnConfig cfg;
-  cfg.hidden = {8, 4};
-  cfg.mlp_hidden = 4;
-  cfg.attention_dim = 4;
-  cfg.gat_heads = 2;
-  gnn::Gat model(cfg);
   ExpectSimdMatchesScalar(&model, batch);
 }
 

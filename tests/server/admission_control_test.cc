@@ -148,11 +148,10 @@ class AdmissionControlTest : public ::testing::Test {
     features_ = nullptr;
   }
 
-  /// Deterministic serving path: no cache (every request computes) and
-  /// the tape-free inference kernels, like the open-loop bench.
+  /// Deterministic serving path: no cache (every request computes), like
+  /// the open-loop bench.
   static PredictionConfig ServingConfig(obs::MetricsRegistry* registry) {
     PredictionConfig cfg;
-    cfg.use_inference_path = true;
     cfg.cache_capacity = 0;
     cfg.metrics = registry;
     return cfg;

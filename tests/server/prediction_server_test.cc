@@ -188,10 +188,10 @@ double Sigmoid(float z) {
 
 TEST_F(PredictionServerTest, HandleBatchEqualsUnprunedForwardBitForBit) {
   // The reference rebuilds the request path without pruning: every
-  // sampled node's features, every adjacency view, and a forward over
-  // every row. The server must serve its probabilities bit for bit.
-  auto reference = [&](const std::vector<UserId>& uids,
-                       bool inference_path) {
+  // sampled node's features, every adjacency view, and HAG's tape-free
+  // forward over every row. The server must serve its probabilities bit
+  // for bit, whatever `use_inference_path` says: the field is inert.
+  auto reference = [&](const std::vector<UserId>& uids) {
     const bn::Subgraph sg = bn_->SampleSubgraph(uids);
     la::Matrix raw;
     for (size_t i = 0; i < sg.nodes.size(); ++i) {
@@ -205,23 +205,16 @@ TEST_F(PredictionServerTest, HandleBatchEqualsUnprunedForwardBitForBit) {
     }
     const gnn::GraphBatch batch =
         gnn::MakeGraphBatch(local, data_->scaler.Transform(raw));
-    std::vector<double> probs(sg.num_targets);
-    if (inference_path) {
-      const la::Matrix logits = model_->LogitsInference(batch);
-      for (size_t i = 0; i < probs.size(); ++i) {
-        probs[i] = Sigmoid(logits(i, 0));
-      }
-    } else {
-      probs = gnn::GnnTrainer::PredictTargets(model_, batch);
-    }
+    const la::Matrix logits = model_->LogitsInference(batch);
     std::vector<double> out;
-    for (UserId u : uids) out.push_back(probs[sg.local.at(u)]);
+    for (UserId u : uids) out.push_back(Sigmoid(logits(sg.local.at(u), 0)));
     return out;
   };
 
   size_t checked = 0;
   for (bool inference_path : {false, true}) {
-    SCOPED_TRACE(inference_path ? "tape-free" : "autograd");
+    SCOPED_TRACE(::testing::Message()
+                 << "use_inference_path=" << inference_path);
     PredictionConfig cfg;
     cfg.use_inference_path = inference_path;
     PredictionServer fresh(cfg, bn_, features_, model_, &data_->scaler);
@@ -235,7 +228,7 @@ TEST_F(PredictionServerTest, HandleBatchEqualsUnprunedForwardBitForBit) {
     }
     for (const auto& uids : batches) {
       const auto served = fresh.HandleBatch(uids);
-      const auto want = reference(uids, inference_path);
+      const auto want = reference(uids);
       for (size_t j = 0; j < uids.size(); ++j) {
         EXPECT_EQ(served[j].fraud_probability, want[j]) << "uid " << uids[j];
         ++checked;
@@ -312,7 +305,6 @@ TEST(PredictionServerDeathTest, QuantizedInferenceIsRejected) {
   core::Hag model;
   ml::StandardScaler scaler;
   PredictionConfig cfg;
-  cfg.use_inference_path = true;
   cfg.quantized_inference = true;
   EXPECT_DEATH(PredictionServer(cfg, &bn, &features, &model, &scaler),
                "int8 serving was removed");

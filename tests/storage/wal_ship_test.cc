@@ -206,17 +206,6 @@ TEST(WalShipTest, MirrorDeletesFollowCheckpointRotation) {
   EXPECT_EQ(stats_or.value().checkpoint_files_copied, 1u);
   EXPECT_EQ(ListWalSegments(dst), std::vector<uint64_t>{3});
   EXPECT_TRUE(fs::exists(dst + "/checkpoint.bin"));
-
-  // Without mirror deletes the replica keeps the old files (an archive
-  // posture), but the live files still ship.
-  const std::string dst2 = FreshDir("ship_rot_dst2");
-  WalShipOptions keep;
-  keep.mirror_deletes = false;
-  WriteSegment(src, 4, 1);
-  ASSERT_TRUE(ShipWalDir(src, dst2, keep).ok());
-  fs::remove(WalSegmentPath(src, 3));
-  ASSERT_TRUE(ShipWalDir(src, dst2, keep).ok());
-  EXPECT_EQ(ListWalSegments(dst2).size(), 2u);  // 3 kept, 4 live
 }
 
 TEST(WalShipTest, GapInSourceSequenceShipsVerbatim) {
