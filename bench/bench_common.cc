@@ -50,13 +50,10 @@ Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
     const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      kv_[arg] = "1";
-    } else {
-      kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
+    const bool bare = eq == std::string::npos;  // `--key` means key=1
+    kv_[arg.substr(2, bare ? std::string::npos : eq - 2)] =
+        bare ? std::string("1") : arg.substr(eq + 1);
   }
 }
 

@@ -4,6 +4,7 @@
 // training.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -266,17 +267,20 @@ void BM_StatFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_StatFeatures);
 
+// SharedDataset() through the offline pipeline (prepared once).
+const core::PreparedData& SharedPreparedData() {
+  static const std::unique_ptr<core::PreparedData> data =
+      core::PrepareData(datagen::Dataset(SharedDataset()),
+                        core::PipelineConfig{});
+  return *data;
+}
+
 void BM_HagForward(benchmark::State& state) {
-  const auto& ds = SharedDataset();
-  static std::unique_ptr<core::PreparedData> data;
-  if (!data) {
-    datagen::Dataset copy = ds;
-    data = core::PrepareData(std::move(copy), core::PipelineConfig{});
-  }
+  const core::PreparedData& data = SharedPreparedData();
   benchx::BenchScale scale;
   core::Hag model(benchx::MakeHagConfig(scale, 1));
-  model.Init(static_cast<int>(data->features.cols()));
-  auto batch = core::MakeBatch(*data, data->test_uids, bn::SamplerConfig{});
+  model.Init(static_cast<int>(data.features.cols()));
+  auto batch = core::MakeBatch(data, data.test_uids, bn::SamplerConfig{});
   for (auto _ : state) {
     auto logits = model.Logits(batch, /*training=*/false, nullptr);
     benchmark::DoNotOptimize(logits->value.data());
@@ -290,16 +294,11 @@ BENCHMARK(BM_HagForward)->Unit(benchmark::kMillisecond);
 // allocation, no backward closures). The ratio of the two is the
 // autograd-tape overhead the serving path saves.
 void BM_HagForwardInference(benchmark::State& state) {
-  const auto& ds = SharedDataset();
-  static std::unique_ptr<core::PreparedData> data;
-  if (!data) {
-    datagen::Dataset copy = ds;
-    data = core::PrepareData(std::move(copy), core::PipelineConfig{});
-  }
+  const core::PreparedData& data = SharedPreparedData();
   benchx::BenchScale scale;
   core::Hag model(benchx::MakeHagConfig(scale, 1));
-  model.Init(static_cast<int>(data->features.cols()));
-  auto batch = core::MakeBatch(*data, data->test_uids, bn::SamplerConfig{});
+  model.Init(static_cast<int>(data.features.cols()));
+  auto batch = core::MakeBatch(data, data.test_uids, bn::SamplerConfig{});
   for (auto _ : state) {
     auto logits = model.LogitsInference(batch);
     benchmark::DoNotOptimize(logits.data());
@@ -307,6 +306,36 @@ void BM_HagForwardInference(benchmark::State& state) {
   state.counters["batch_nodes"] = static_cast<double>(batch.num_nodes());
 }
 BENCHMARK(BM_HagForwardInference)->Unit(benchmark::kMillisecond);
+
+// The serving shape: HandleBatch's forward (Hag::TargetLogitsInference)
+// over single-target sampled subgraphs, as a one-uid audit serves them.
+// These batches are small (about a dozen nodes), so per-matrix overhead
+// rather than arithmetic sets their cost; BM_HagForwardInference's
+// batch of every test target is compute-bound.
+void BM_HagTargetLogitsInference(benchmark::State& state) {
+  const core::PreparedData& data = SharedPreparedData();
+  benchx::BenchScale scale;
+  core::Hag model(benchx::MakeHagConfig(scale, 1));
+  model.Init(static_cast<int>(data.features.cols()));
+  std::vector<gnn::GraphBatch> batches;
+  double nodes = 0.0, input_rows = 0.0;
+  for (size_t i = 0; i < std::min<size_t>(64, data.test_uids.size()); ++i) {
+    batches.push_back(
+        core::MakeBatch(data, {data.test_uids[i]}, bn::SamplerConfig{}));
+    nodes += static_cast<double>(batches.back().num_nodes());
+    input_rows += static_cast<double>(model.InputRows(batches.back()).size());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    auto logits = model.TargetLogitsInference(batches[next]);
+    benchmark::DoNotOptimize(logits.data());
+    next = (next + 1) % batches.size();
+  }
+  state.counters["batch_nodes"] = nodes / static_cast<double>(batches.size());
+  state.counters["input_rows"] =
+      input_rows / static_cast<double>(batches.size());
+}
+BENCHMARK(BM_HagTargetLogitsInference);
 
 void BM_GbdtFit(benchmark::State& state) {
   Rng rng(3);

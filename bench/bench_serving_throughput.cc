@@ -14,10 +14,14 @@
 // batched path at batch >= 8 clears 3x the single-request
 // autograd-forward throughput and, on a host whose active kernel ISA is
 // not scalar, the dispatched inference t1/b8 cell keeps at least 0.8x
-// the throughput of the forced-scalar one.
+// the throughput of the forced-scalar one. One pass of a t1/b8 cell
+// lasts a few milliseconds, so one scheduler stall can move it; the SIMD
+// floor compares the medians of kSimdPasses interleaved passes of the
+// two cells.
 //
 //   ./bench_serving_throughput [--users=N] [--requests=K] [--epochs=E]
 //                              [--out=BENCH_serving.json]
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -36,6 +40,10 @@
 
 namespace turbo::benchx {
 namespace {
+
+/// Interleaved passes of each SIMD-floor cell (odd: the median is one
+/// pass).
+constexpr int kSimdPasses = 7;
 
 struct ServingStack {
   std::unique_ptr<core::PreparedData> data;
@@ -180,6 +188,15 @@ RunResult RunOne(ServingStack* s, const std::string& mode, int threads,
   return r;
 }
 
+/// The pass with the median throughput.
+RunResult MedianPass(std::vector<RunResult> passes) {
+  std::sort(passes.begin(), passes.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.requests_per_second < b.requests_per_second;
+            });
+  return passes[passes.size() / 2];
+}
+
 /// One client thread runs HandleBatch's work through the public calls it
 /// makes — sample, build the one adjacency view HAG reads, fetch and
 /// scale the features of Hag::InputRows — then the autograd forward over
@@ -255,17 +272,29 @@ int Main(int argc, char** argv) {
   // Ablation: batching alone (autograd forward on merged batches)
   // separates the merged-subgraph win from the tape-free win.
   runs.push_back(RunAutograd(&stack, 8, requests, stack.pool));
+  // SIMD ablation at the t1/b8 cell (the smallest gated batched cell):
+  // the scalar run isolates what the dispatched kernels buy end-to-end.
+  // Each cell runs kSimdPasses times, alternating, and reports its median
+  // pass, so a stall in one pass moves neither side of the floor.
+  std::vector<RunResult> dispatched_passes, scalar_passes;
+  for (int pass = 0; pass < kSimdPasses; ++pass) {
+    dispatched_passes.push_back(
+        RunOne(&stack, "inference", 1, 8, requests, 0, stack.pool));
+    scalar_passes.push_back(
+        RunOne(&stack, "inference[scalar]", 1, 8, requests, 0, stack.pool));
+  }
+  const RunResult dispatched = MedianPass(dispatched_passes);
+  const RunResult scalar = MedianPass(scalar_passes);
   // Grid: tape-free path over thread count x batch size.
   for (int threads : {1, 2, 4}) {
     for (int batch : {1, 8, 16, 32}) {
-      runs.push_back(RunOne(&stack, "inference", threads, batch, requests,
-                            0, stack.pool));
+      runs.push_back(threads == 1 && batch == 8
+                         ? dispatched
+                         : RunOne(&stack, "inference", threads, batch,
+                                  requests, 0, stack.pool));
     }
   }
-  // SIMD ablation at the t1/b8 cell (the smallest gated batched cell):
-  // the scalar run isolates what the dispatched kernels buy end-to-end.
-  runs.push_back(RunOne(&stack, "inference[scalar]", 1, 8, requests, 0,
-                        stack.pool));
+  runs.push_back(scalar);
   // Snapshot-versioned cache: a small hot set cycled repeatedly, so the
   // second and later passes are served from the cache.
   std::vector<UserId> hot(stack.pool.begin(),
@@ -275,7 +304,6 @@ int Main(int argc, char** argv) {
       RunOne(&stack, "inference+cache", 4, 8, requests, 1024, hot));
 
   double acceptance = 0.0;  // best inference speedup at batch>=8
-  double dispatched_rps = 0.0, scalar_rps = 0.0;  // the t1/b8 SIMD pair
   TablePrinter table({"mode", "threads", "batch", "req/s", "speedup",
                       "p99 call (ms)", "sample/feat/infer (ms)", "nodes",
                       "cache hits"});
@@ -283,10 +311,6 @@ int Main(int argc, char** argv) {
     r.speedup = r.requests_per_second / std::max(baseline_rps, 1e-9);
     if (r.mode == "inference" && r.batch >= 8) {
       acceptance = std::max(acceptance, r.speedup);
-    }
-    if (r.threads == 1 && r.batch == 8) {
-      if (r.mode == "inference") dispatched_rps = r.requests_per_second;
-      if (r.mode == "inference[scalar]") scalar_rps = r.requests_per_second;
     }
     table.AddRow({r.mode, std::to_string(r.threads),
                   std::to_string(r.batch),
@@ -310,11 +334,13 @@ int Main(int argc, char** argv) {
   if (isa == la::KernelIsa::kScalar) {
     std::printf("active ISA is scalar: SIMD floor skipped\n");
   } else {
-    const double ratio = dispatched_rps / std::max(scalar_rps, 1e-9);
+    const double ratio = dispatched.requests_per_second /
+                         std::max(scalar.requests_per_second, 1e-9);
     simd_ok = ratio >= 0.8;
-    std::printf("SIMD floor [%s] inference/t1/b8 vs inference[scalar]/t1/b8: "
-                "%.2fx (floor 0.8x) [%s]\n",
-                la::IsaName(isa), ratio, simd_ok ? "ok" : "BELOW FLOOR");
+    std::printf("SIMD floor [%s] inference/t1/b8 vs inference[scalar]/t1/b8, "
+                "medians of %d passes: %.2fx (floor 0.8x) [%s]\n",
+                la::IsaName(isa), kSimdPasses, ratio,
+                simd_ok ? "ok" : "BELOW FLOOR");
   }
 
   std::ofstream f(out);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <cstdint>
+#include <vector>
 
 namespace turbo::features {
 
@@ -16,65 +17,84 @@ const std::array<std::string, kNumStatFeatures>& StatFeatureNames() {
   return kNames;
 }
 
+namespace {
+
+/// Sorts `values` and returns how many distinct ones it holds.
+size_t CountDistinct(std::vector<ValueId>* values) {
+  std::sort(values->begin(), values->end());
+  return static_cast<size_t>(
+      std::unique(values->begin(), values->end()) - values->begin());
+}
+
+}  // namespace
+
 std::array<float, kNumStatFeatures> ComputeStatFeatures(
     const storage::LogStore& store, UserId uid, SimTime as_of,
     storage::SimClock* clock) {
   std::array<float, kNumStatFeatures> f{};
   const SimTime lo = as_of - 60 * kDay;
+  // Ascending by time: the first and last logs bound the activity span,
+  // and equal days are adjacent.
   auto logs = store.QueryUser(uid, lo, as_of, clock);
   if (logs.empty()) return f;
 
-  int count_1d = 0, count_7d = 0, night = 0, burst_1d = 0;
-  std::set<ValueId> devices_7d, ips_7d, cells_7d, wifi_7d, devices_all;
-  std::set<ValueId> devices_1d;
-  std::set<int64_t> active_days;
+  int sessions = 0, count_1d = 0, count_7d = 0, night = 0, burst_1d = 0;
+  // Distinct counts: collect, then sort + unique once at the end.
+  std::vector<ValueId> devices_7d, ips_7d, cells_7d, wifi_7d, devices_all,
+      devices_1d;
+  for (auto* v : {&devices_7d, &ips_7d, &cells_7d, &wifi_7d, &devices_all,
+                  &devices_1d}) {
+    v->reserve(logs.size());
+  }
+  int active_days = 1;
+  int64_t day = logs.front().time / kDay;
   ValueId last_device = 0;
   int device_switches = 0;
-  SimTime first = logs.front().time, last = logs.front().time;
-  std::vector<SimTime> session_times;
+  const SimTime first = logs.front().time, last = logs.back().time;
 
   for (const auto& l : logs) {
-    first = std::min(first, l.time);
-    last = std::max(last, l.time);
     const bool in_1d = l.time >= as_of - kDay;
     const bool in_7d = l.time >= as_of - 7 * kDay;
-    active_days.insert(l.time / kDay);
+    if (l.time / kDay != day) {
+      day = l.time / kDay;
+      ++active_days;
+    }
     const int hour = static_cast<int>((l.time % kDay) / kHour);
     switch (l.type) {
       case BehaviorType::kDeviceId:
-        session_times.push_back(l.time);
+        ++sessions;
         count_1d += in_1d;
         count_7d += in_7d;
         if (hour >= 22 || hour < 6) ++night;
         burst_1d += (std::abs(l.time - as_of) <= kDay);
-        devices_all.insert(l.value);
-        if (in_7d) devices_7d.insert(l.value);
-        if (in_1d) devices_1d.insert(l.value);
+        devices_all.push_back(l.value);
+        if (in_7d) devices_7d.push_back(l.value);
+        if (in_1d) devices_1d.push_back(l.value);
         if (last_device != 0 && l.value != last_device) ++device_switches;
         last_device = l.value;
         break;
       case BehaviorType::kIpv4:
-        if (in_7d) ips_7d.insert(l.value);
+        if (in_7d) ips_7d.push_back(l.value);
         break;
       case BehaviorType::kGps100:
-        if (in_7d) cells_7d.insert(l.value);
+        if (in_7d) cells_7d.push_back(l.value);
         break;
       case BehaviorType::kWifiMac:
-        if (in_7d) wifi_7d.insert(l.value);
+        if (in_7d) wifi_7d.push_back(l.value);
         break;
       default:
         break;
     }
   }
 
-  const int sessions = static_cast<int>(session_times.size());
+  const size_t distinct_devices = CountDistinct(&devices_all);
   f[0] = static_cast<float>(count_1d);
   f[1] = static_cast<float>(count_7d);
   f[2] = static_cast<float>(sessions);
-  f[3] = static_cast<float>(devices_7d.size());
-  f[4] = static_cast<float>(ips_7d.size());
-  f[5] = static_cast<float>(cells_7d.size());
-  f[6] = static_cast<float>(wifi_7d.size());
+  f[3] = static_cast<float>(CountDistinct(&devices_7d));
+  f[4] = static_cast<float>(CountDistinct(&ips_7d));
+  f[5] = static_cast<float>(CountDistinct(&cells_7d));
+  f[6] = static_cast<float>(CountDistinct(&wifi_7d));
   f[7] = sessions > 0 ? static_cast<float>(night) / sessions : 0.0f;
   f[8] = static_cast<float>(last - first) / kDay;
   f[9] = sessions > 0 ? static_cast<float>(burst_1d) / sessions : 0.0f;
@@ -82,13 +102,12 @@ std::array<float, kNumStatFeatures> ComputeStatFeatures(
     f[10] = static_cast<float>(last - first) /
             (static_cast<float>(sessions - 1) * kHour);
   }
-  f[11] = active_days.empty()
-              ? 0.0f
-              : static_cast<float>(sessions) / active_days.size();
+  f[11] = static_cast<float>(sessions) / active_days;
   f[12] = static_cast<float>(device_switches);
-  f[13] = devices_all.empty()
+  f[13] = distinct_devices == 0
               ? 0.0f
-              : static_cast<float>(devices_1d.size()) / devices_all.size();
+              : static_cast<float>(CountDistinct(&devices_1d)) /
+                    distinct_devices;
   return f;
 }
 

@@ -26,8 +26,23 @@ void GemmRows(const float* a, const float* b, float* c, size_t k, size_t n,
     const float* arow = a + i * k;
     float* crow = c + i * n;
     size_t j = 0;
-    // 32-column register block: 4 ymm accumulators live across the
-    // whole depth block, so B streams and C is touched once per block.
+    // Register blocks of 64, then 32 columns: the accumulators live
+    // across the whole depth block, so B streams and C is touched once
+    // per block. The 64-column block's 8 independent FMA chains also
+    // cover the FMA latency, which the 32-column block's 4 do not.
+    for (; j + 64 <= n; j += 64) {
+      float* cj = crow + j;
+      __m256 acc[8];
+      for (int q = 0; q < 8; ++q) acc[q] = _mm256_loadu_ps(cj + 8 * q);
+      for (size_t p = p0; p < p1; ++p) {
+        const __m256 av = _mm256_set1_ps(arow[p]);
+        const float* bj = b + p * n + j;
+        for (int q = 0; q < 8; ++q) {
+          acc[q] = _mm256_fmadd_ps(av, _mm256_loadu_ps(bj + 8 * q), acc[q]);
+        }
+      }
+      for (int q = 0; q < 8; ++q) _mm256_storeu_ps(cj + 8 * q, acc[q]);
+    }
     for (; j + 32 <= n; j += 32) {
       float* cj = crow + j;
       __m256 acc0 = _mm256_loadu_ps(cj);

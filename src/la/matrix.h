@@ -19,12 +19,12 @@
 
 namespace turbo::la {
 
-/// Matrix/SparseMatrix storage alignment: one cache line, which also
-/// covers the widest vector load the SIMD kernel tiers issue (64-byte
-/// zmm). Row STRIDES are not padded, so only row 0 is guaranteed
-/// aligned — the kernel tiers use unaligned loads and this alignment
-/// simply keeps them on their fast path for the common row-0 case and
-/// avoids cache-line splits for small matrices.
+/// Matrix/SparseMatrix storage alignment: one cache line. Row STRIDES
+/// are not padded, so only row 0 is guaranteed aligned — the kernels
+/// use unaligned loads, and this alignment keeps AVX2's 32-byte loads
+/// from splitting cache lines in the common case: row 0, and every row
+/// whose width is a multiple of 16 floats. With 16-byte alignment the
+/// dispatched 256x256 GEMM ran 11% slower (DESIGN.md §13).
 inline constexpr std::size_t kMatrixAlignment = 64;
 
 template <typename T>

@@ -35,6 +35,51 @@ std::string ShardMethodName(uint8_t method) {
   return StrFormat("method%u", static_cast<unsigned>(method));
 }
 
+namespace {
+
+// In-process, BnServer CHECKs its callers' preconditions: a violation is
+// a bug in the embedding program. Over the wire the same arguments come
+// from a peer, so the service checks them first and a bad request fails
+// alone instead of aborting the shard.
+Status CheckUid(UserId uid, const server::BnServer& server) {
+  if (uid >= static_cast<UserId>(server.config().num_users)) {
+    return Status::InvalidArgument(
+        StrFormat("uid %u out of range: the shard has %d users",
+                  static_cast<unsigned>(uid), server.config().num_users));
+  }
+  return Status::OK();
+}
+
+Status CheckLog(const BehaviorLog& log, const server::BnServer& server) {
+  TURBO_RETURN_IF_ERROR(CheckUid(log.uid, server));
+  if (log.time < 0) {
+    return Status::InvalidArgument(
+        StrFormat("negative timestamp %lld for uid %u",
+                  static_cast<long long>(log.time),
+                  static_cast<unsigned>(log.uid)));
+  }
+  return Status::OK();
+}
+
+Status CheckIngestQueue(const server::BnServer& server) {
+  if (server.config().ingest_queue_capacity == 0) {
+    return Status::FailedPrecondition("shard has no ingest queue");
+  }
+  return Status::OK();
+}
+
+// Sampling reads the published snapshot; there is none before the
+// shard's first AdvanceTo.
+Status CheckSampleable(UserId uid, const server::BnServer& server) {
+  TURBO_RETURN_IF_ERROR(CheckUid(uid, server));
+  if (server.snapshot_version() == 0) {
+    return Status::FailedPrecondition("shard has published no snapshot");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 ShardService::ShardService(ShardServiceConfig config,
                            server::BnServer* server,
                            server::PredictionServer* prediction)
@@ -79,6 +124,7 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
     case ShardMethod::kIngest: {
       BehaviorLog log;
       TURBO_RETURN_IF_ERROR(DecodeAll(body, &log, DecodeBehaviorLog));
+      TURBO_RETURN_IF_ERROR(CheckLog(log, *server_));
       std::lock_guard<std::mutex> lock(writer_mu_);
       server_->Ingest(log);
       return std::string();
@@ -86,18 +132,26 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
     case ShardMethod::kIngestBatch: {
       BehaviorLogList logs;
       TURBO_RETURN_IF_ERROR(DecodeAll(body, &logs, DecodeLogBatch));
+      // All or nothing: one bad log rejects the whole batch.
+      for (const BehaviorLog& log : logs) {
+        TURBO_RETURN_IF_ERROR(CheckLog(log, *server_));
+      }
       std::lock_guard<std::mutex> lock(writer_mu_);
       server_->IngestBatch(logs);
       return std::string();
     }
     case ShardMethod::kOfferIngest: {
+      TURBO_RETURN_IF_ERROR(CheckIngestQueue(*server_));
       BehaviorLog log;
       TURBO_RETURN_IF_ERROR(DecodeAll(body, &log, DecodeBehaviorLog));
+      // Checked on the way in: DrainIngest would apply it through Ingest.
+      TURBO_RETURN_IF_ERROR(CheckLog(log, *server_));
       // Lock-free producer path by contract; no writer_mu_.
       w.U8(server_->OfferIngest(log) ? 1 : 0);
       return w.data();
     }
     case ShardMethod::kDrainIngest: {
+      TURBO_RETURN_IF_ERROR(CheckIngestQueue(*server_));
       storage::BinaryReader r(body);
       const uint64_t max_events = r.U64();
       if (!r.ok() || r.remaining() != 0) {
@@ -118,6 +172,12 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
         return Status::InvalidArgument("malformed advance request");
       }
       std::lock_guard<std::mutex> lock(writer_mu_);
+      if (now < server_->now()) {
+        return Status::InvalidArgument(StrFormat(
+            "advance to %lld is behind the shard clock %lld",
+            static_cast<long long>(now),
+            static_cast<long long>(server_->now())));
+      }
       server_->AdvanceTo(now);
       return std::string();
     }
@@ -143,6 +203,7 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
       if (!r.ok() || r.remaining() != 0) {
         return Status::InvalidArgument("malformed sample request");
       }
+      TURBO_RETURN_IF_ERROR(CheckSampleable(uid, *server_));
       EncodeSubgraph(server_->SampleSubgraph(uid), &w);
       return w.data();
     }
@@ -167,6 +228,7 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
       if (!r.ok() || r.remaining() != 0) {
         return Status::InvalidArgument("malformed predict request");
       }
+      TURBO_RETURN_IF_ERROR(CheckSampleable(uid, *server_));
       EncodePredictionResponse(prediction_->Handle(uid), &w);
       return w.data();
     }

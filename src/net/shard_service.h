@@ -10,6 +10,11 @@
 // contract the shard was built under. OfferIngest, SampleSubgraph, the
 // gauges, and Predict stay lock-free exactly as in-process.
 //
+// Arguments a peer sends are checked before they reach the shard: where
+// BnServer would CHECK (a uid out of range, a negative time, a clock
+// going back, no ingest queue, no snapshot yet), the service answers
+// InvalidArgument or FailedPrecondition and keeps serving.
+//
 // The service does not own the shard: tests and embedding processes
 // construct the BnServer (with its wal_dir), start a ShardService on an
 // ephemeral port, and point RemoteShardClients at endpoint().

@@ -9,6 +9,14 @@ Status Malformed(const char* what) {
       std::string("malformed message: ") + what);
 }
 
+// Bools travel as one byte, 0 or 1. Any other byte is malformed: it
+// would decode to true and re-encode as a different message.
+bool ReadBool(storage::BinaryReader* r, bool* out) {
+  const uint8_t b = r->U8();
+  *out = b == 1;
+  return b <= 1;
+}
+
 }  // namespace
 
 void EncodeBehaviorLog(const BehaviorLog& log, storage::BinaryWriter* w) {
@@ -77,7 +85,9 @@ Status DecodeSubgraph(storage::BinaryReader* r, bn::Subgraph* sg) {
   for (uint64_t i = 0; i < num_nodes; ++i) {
     const UserId uid = r->U32();
     sg->nodes.push_back(uid);
-    sg->local.emplace(uid, static_cast<int>(i));
+    if (!sg->local.emplace(uid, static_cast<int>(i)).second && r->ok()) {
+      return Malformed("subgraph duplicate node");
+    }
   }
   sg->num_targets = r->U64();
   sg->snapshot_version = r->U64();
@@ -125,18 +135,18 @@ void EncodePredictionResponse(const server::PredictionResponse& resp,
 Status DecodePredictionResponse(storage::BinaryReader* r,
                                 server::PredictionResponse* resp) {
   resp->fraud_probability = r->F64();
-  resp->blocked = r->U8() != 0;
+  bool bools_ok = ReadBool(r, &resp->blocked);
   resp->subgraph_nodes = static_cast<int>(r->U32());
   resp->request_id = r->U64();
   resp->snapshot_version = r->U64();
   resp->batch_size = static_cast<int>(r->U32());
-  resp->cache_hit = r->U8() != 0;
-  resp->shed = r->U8() != 0;
+  bools_ok &= ReadBool(r, &resp->cache_hit);
+  bools_ok &= ReadBool(r, &resp->shed);
   resp->sampling_ms = r->F64();
   resp->feature_ms = r->F64();
   resp->inference_ms = r->F64();
   resp->total_ms = r->F64();
-  if (!r->ok()) return Malformed("prediction response");
+  if (!r->ok() || !bools_ok) return Malformed("prediction response");
   return Status::OK();
 }
 

@@ -4,13 +4,9 @@
 
 namespace turbo::obs {
 
-StageTimer::StageTimer(MetricsRegistry* registry, std::string prefix,
-                       uint64_t request_id)
-    : registry_(registry),
-      prefix_(std::move(prefix)),
-      request_id_(request_id) {
-  TURBO_CHECK(registry_ != nullptr);
-  TURBO_CHECK(!prefix_.empty());
+StageTimer::StageTimer(Histogram* total, uint64_t request_id)
+    : total_(total), request_id_(request_id) {
+  TURBO_CHECK(total_ != nullptr);
 }
 
 StageTimer::~StageTimer() {
@@ -21,14 +17,16 @@ double StageTimer::Span::Stop() {
   if (stopped_) return recorded_;
   stopped_ = true;
   recorded_ = stopwatch_.ElapsedMillis() + extra_;
-  timer_->RecordStage(stage_, recorded_);
+  timer_->RecordStage(std::move(stage_), recorded_, histogram_);
   return recorded_;
 }
 
-void StageTimer::RecordStage(const std::string& stage, double millis) {
+void StageTimer::RecordStage(std::string stage, double millis,
+                             Histogram* histogram) {
   TURBO_CHECK_GE(millis, 0.0);
-  spans_.push_back({stage, millis});
-  registry_->GetHistogram(prefix_ + "_" + stage + "_ms")->Observe(millis);
+  TURBO_CHECK(histogram != nullptr);
+  spans_.push_back({std::move(stage), millis});
+  histogram->Observe(millis);
 }
 
 double StageTimer::TotalMillis() const {
@@ -41,7 +39,7 @@ double StageTimer::Finish() {
   const double total = TotalMillis();
   if (!finished_) {
     finished_ = true;
-    registry_->GetHistogram(prefix_ + "_total_ms")->Observe(total);
+    total_->Observe(total);
   }
   return total;
 }

@@ -1,7 +1,8 @@
 // Per-request stage tracing: a StageTimer collects named spans for one
-// request id and mirrors every span into `<prefix>_<stage>_ms`
-// histograms of a MetricsRegistry, so a stream of requests yields the
-// Fig. 8-style per-module latency breakdown for free.
+// request id and mirrors every span into a histogram its caller resolved
+// once (PredictionServer's `predict_<stage>_ms`), so a stream of
+// requests yields the Fig. 8-style per-module latency breakdown with no
+// registry lookup per request.
 //
 // Wall-clock and modeled time: spans measure real elapsed time with a
 // Stopwatch; storage accesses additionally charge a virtual SimClock
@@ -30,10 +31,10 @@ struct StageSpan {
 
 class StageTimer {
  public:
-  /// Spans are recorded into `registry` under `<prefix>_<stage>_ms`;
-  /// `request_id` ties the trace to a request for logging/debugging.
-  StageTimer(MetricsRegistry* registry, std::string prefix,
-             uint64_t request_id);
+  /// Finish() records the trace's total into `total`; `request_id` ties
+  /// the trace to a request for logging/debugging. Every histogram the
+  /// timer records into is borrowed and must outlive it.
+  StageTimer(Histogram* total, uint64_t request_id);
   /// Finishes implicitly (records the total) if the caller did not.
   ~StageTimer();
   StageTimer(const StageTimer&) = delete;
@@ -41,7 +42,7 @@ class StageTimer {
 
   /// Scoped span: starts timing on construction, records on Stop() (or
   /// destruction). Not copyable or movable — bind the returned prvalue
-  /// directly: `auto span = timer.StartSpan("sample");`.
+  /// directly: `auto span = timer.StartSpan("sample", sample_ms);`.
   class Span {
    public:
     ~Span() { Stop(); }
@@ -55,34 +56,37 @@ class StageTimer {
 
    private:
     friend class StageTimer;
-    Span(StageTimer* timer, std::string stage)
-        : timer_(timer), stage_(std::move(stage)) {}
+    Span(StageTimer* timer, std::string stage, Histogram* histogram)
+        : timer_(timer), stage_(std::move(stage)), histogram_(histogram) {}
 
     StageTimer* timer_;
     std::string stage_;
+    Histogram* histogram_;
     Stopwatch stopwatch_;
     double extra_ = 0.0;
     double recorded_ = 0.0;
     bool stopped_ = false;
   };
 
-  Span StartSpan(std::string stage) { return Span(this, std::move(stage)); }
+  /// The span records its duration into `histogram` when it stops.
+  Span StartSpan(std::string stage, Histogram* histogram) {
+    return Span(this, std::move(stage), histogram);
+  }
 
   /// Records an externally measured stage duration (no Stopwatch).
-  void RecordStage(const std::string& stage, double millis);
+  void RecordStage(std::string stage, double millis, Histogram* histogram);
 
   /// Sum of all recorded spans so far.
   double TotalMillis() const;
   const std::vector<StageSpan>& spans() const { return spans_; }
   uint64_t request_id() const { return request_id_; }
 
-  /// Records `<prefix>_total_ms` and returns the total. Idempotent;
-  /// spans recorded after Finish() are ignored for the total.
+  /// Records the total into the `total` histogram and returns it.
+  /// Idempotent; spans recorded after Finish() are ignored for the total.
   double Finish();
 
  private:
-  MetricsRegistry* registry_;
-  std::string prefix_;
+  Histogram* total_;
   uint64_t request_id_;
   std::vector<StageSpan> spans_;
   bool finished_ = false;

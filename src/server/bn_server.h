@@ -199,6 +199,8 @@ class BnServer {
   /// Version id of the last published snapshot (0 = none yet).
   uint64_t snapshot_version() const;
 
+  const BnServerConfig& config() const { return config_; }
+
   /// Server clock; readable from any thread concurrently with AdvanceTo
   /// (serving threads use it as the feature as_of).
   SimTime now() const { return now_.load(std::memory_order_relaxed); }

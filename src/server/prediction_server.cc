@@ -68,7 +68,7 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
   const uint64_t last_id = requests_->Increment(n);
   const uint64_t first_id = last_id - n + 1;
   batch_size_->Observe(static_cast<double>(n));
-  obs::StageTimer trace(metrics_, "predict", first_id);
+  obs::StageTimer trace(total_ms_, first_id);
   for (size_t i = 0; i < n; ++i) {
     out[i].request_id = first_id + i;
     out[i].batch_size = static_cast<int>(n);
@@ -117,7 +117,7 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
     gnn::GraphBatch batch;
     std::vector<uint32_t> rows;
     {
-      auto span = trace.StartSpan("sample");
+      auto span = trace.StartSpan("sample", sample_ms_);
       storage::SimClock sample_clock;
       sg = bn_->SampleSubgraph(targets);
       // Modeled cost of shipping the subgraph out of the graph store: one
@@ -139,7 +139,7 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
     // with the training scaler. The other rows stay zero; no target's
     // probability reads them.
     {
-      auto span = trace.StartSpan("feature");
+      auto span = trace.StartSpan("feature", feature_ms_);
       storage::SimClock feature_clock;
       la::Matrix raw(rows.size(), batch.features.cols());
       for (size_t i = 0; i < rows.size(); ++i) {
@@ -160,7 +160,7 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
 
     // 3) Prediction server: one merged model forward for the batch.
     {
-      auto span = trace.StartSpan("inference");
+      auto span = trace.StartSpan("inference", inference_ms_);
       const std::vector<double> probs =
           gnn::GnnTrainer::PredictTargetsInference(*model_, batch);
       // One probability per distinct target: a batch naming the same uid

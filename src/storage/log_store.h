@@ -42,7 +42,8 @@ class LogStore {
     return total_;
   }
 
-  /// All logs of `uid` with time in [t0, t1], charged to `clock` if given.
+  /// All logs of `uid` with time in [t0, t1], ascending by time, charged
+  /// to `clock` if given.
   BehaviorLogList QueryUser(UserId uid, SimTime t0, SimTime t1,
                             SimClock* clock = nullptr) const;
 

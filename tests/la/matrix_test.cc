@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,57 @@ TEST(MatrixTest, StorageIs64ByteAligned) {
   EXPECT_EQ(
       reinterpret_cast<uintptr_t>(from_rows.data()) % kMatrixAlignment, 0u);
 }
+
+bool Aligned(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) % kMatrixAlignment == 0;
+}
+
+// The allocator carves the boundary out of a plain malloc block, so
+// check sizes on both sides of glibc's mmap threshold (128 KiB by
+// default): 300,000 floats come from mmap, the others from the heap.
+TEST(MatrixTest, StorageStaysAlignedAcrossSizesAndOperations) {
+  for (size_t n : {1ul, 17ul, 4096ul, 300000ul}) {
+    SCOPED_TRACE(n);
+    Matrix m(1, n, 1.0f);
+    EXPECT_TRUE(Aligned(m.data()));
+    Matrix copy(m);
+    EXPECT_TRUE(Aligned(copy.data()));
+    Matrix moved(std::move(copy));
+    EXPECT_TRUE(Aligned(moved.data()));
+    Matrix assigned(3, 3);
+    assigned = m;
+    EXPECT_TRUE(Aligned(assigned.data()));
+    Matrix move_assigned;
+    move_assigned = std::move(assigned);
+    EXPECT_TRUE(Aligned(move_assigned.data()));
+    EXPECT_EQ(move_assigned.size(), n);
+    EXPECT_FLOAT_EQ(move_assigned.data()[n - 1], 1.0f);
+
+    AlignedVector<float> v(n, 2.0f);
+    EXPECT_TRUE(Aligned(v.data()));
+    v.resize(2 * n + 1);
+    EXPECT_TRUE(Aligned(v.data()));
+    v.assign(n / 2 + 1, 3.0f);
+    EXPECT_TRUE(Aligned(v.data()));
+    v.shrink_to_fit();
+    EXPECT_TRUE(Aligned(v.data()));
+  }
+}
+
+#ifdef TURBO_ALIGNED_ALLOC_ASAN
+// Under AddressSanitizer the allocator keeps the aligned operator new,
+// whose block ends exactly at the last element, so a one-element write
+// past a Matrix is reported instead of landing in slack bytes.
+TEST(MatrixDeathTest, AsanReportsWriteOnePastTheEnd) {
+  EXPECT_DEATH(
+      {
+        Matrix m(3, 5);
+        float* volatile end = m.data() + m.size();
+        *end = 1.0f;
+      },
+      "heap-buffer-overflow");
+}
+#endif
 
 TEST(MatrixTest, FromRows) {
   Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});

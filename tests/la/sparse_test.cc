@@ -1,6 +1,8 @@
 #include "la/sparse.h"
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,30 @@ TEST(SparseTest, CsrArraysAre64ByteAligned) {
       reinterpret_cast<uintptr_t>(m.col_idx().data()) % kMatrixAlignment, 0u);
   EXPECT_EQ(
       reinterpret_cast<uintptr_t>(m.values().data()) % kMatrixAlignment, 0u);
+}
+
+TEST(SparseTest, CsrArraysStayAlignedAcrossSizesAndOperations) {
+  auto aligned = [](const void* p) {
+    return reinterpret_cast<uintptr_t>(p) % kMatrixAlignment == 0;
+  };
+  // nnz on both sides of glibc's mmap threshold (128 KiB by default).
+  for (uint32_t nnz : {1u, 17u, 4096u, 300000u}) {
+    SCOPED_TRACE(nnz);
+    std::vector<Triplet> triplets;
+    triplets.reserve(nnz);
+    for (uint32_t i = 0; i < nnz; ++i) triplets.push_back({i, i, 1.0f});
+    SparseMatrix m = SparseMatrix::FromTriplets(nnz, nnz, triplets);
+    SparseMatrix copy(m);
+    SparseMatrix moved(std::move(copy));
+    SparseMatrix assigned = MakeExample();
+    assigned = m;
+    for (const SparseMatrix* s : {&m, &moved, &assigned}) {
+      ASSERT_EQ(s->nnz(), nnz);
+      EXPECT_TRUE(aligned(s->row_ptr().data()));
+      EXPECT_TRUE(aligned(s->col_idx().data()));
+      EXPECT_TRUE(aligned(s->values().data()));
+    }
+  }
 }
 
 TEST(SparseTest, DuplicatesAreSummed) {

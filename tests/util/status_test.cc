@@ -28,8 +28,12 @@ TEST(StatusTest, AllFactoriesProduceDistinctCodes) {
   EXPECT_EQ(Status::Internal("").code(), StatusCode::kInternal);
 }
 
+Result<int> Seven() { return 7; }
+
 TEST(ResultTest, HoldsValue) {
-  Result<int> r(7);
+  // Built by a call, not in place: GCC 12 at -O3 otherwise warns that
+  // the Status alternative ~Result may destroy is uninitialized.
+  const Result<int> r = Seven();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 7);
   EXPECT_TRUE(r.status().ok());
