@@ -287,10 +287,6 @@ void BnBuilder::BuildFromLogs(const BehaviorLogList& logs) {
   UpdateCacheGauges();
 }
 
-void BnBuilder::SerializeCache(storage::BinaryWriter* w) const {
-  SerializeCacheSince(0, w);
-}
-
 void BnBuilder::SerializeCacheSince(SimTime after,
                                     storage::BinaryWriter* w) const {
   // Epoch ends are positive and the map is ordered, so `after == 0`
@@ -321,32 +317,31 @@ void BnBuilder::SerializeCacheSince(SimTime after,
   }
 }
 
-Status BnBuilder::DeserializeCache(storage::BinaryReader* r) {
-  base_buckets_.clear();
-  cache_bytes_ = 0;
-  return DeserializeCacheDelta(r);
-}
-
 Status BnBuilder::DeserializeCacheDelta(storage::BinaryReader* r) {
-  const auto fail = [this] {
+  const auto fail = [this](const char* what) {
     base_buckets_.clear();
     cache_bytes_ = 0;
     UpdateCacheGauges();
-    return Status::InvalidArgument("truncated bucket-cache section");
+    return Status::InvalidArgument(std::string("bucket-cache section: ") +
+                                   what);
   };
   const uint64_t epochs = r->U64();
   for (uint64_t i = 0; i < epochs; ++i) {
     const SimTime epoch_end = r->I64();
     const uint64_t num_keys = r->U64();
+    // Without this a corrupt epoch count would spin through zeroes.
+    if (!r->ok()) return fail("truncated");
     std::unordered_map<ValueKey, std::vector<UserId>, ValueKeyHash> slot;
     for (uint64_t k = 0; k < num_keys; ++k) {
       ValueKey key;
-      key.type = static_cast<BehaviorType>(r->U8());
+      const uint8_t type = r->U8();
+      key.type = static_cast<BehaviorType>(type);
       key.value = r->U64();
       const uint64_t n = r->U64();
       if (!r->ok() || n > r->remaining() / sizeof(UserId)) {
-        return fail();
+        return fail("truncated");
       }
+      if (type >= kNumBehaviorTypes) return fail("bad behavior type");
       std::vector<UserId> users(n);
       r->Bytes(users.data(), n * sizeof(UserId));
       slot.emplace(key, std::move(users));
@@ -363,9 +358,7 @@ Status BnBuilder::DeserializeCacheDelta(storage::BinaryReader* r) {
     for (const auto& [key, users] : slot) cache_bytes_ += BucketBytes(users);
     base_buckets_.emplace(epoch_end, std::move(slot));
   }
-  if (!r->ok()) {
-    return fail();
-  }
+  if (!r->ok()) return fail("truncated");
   UpdateCacheGauges();
   return Status::OK();
 }

@@ -165,25 +165,20 @@ class BnBuilder {
     return base_buckets_.empty() ? 0 : base_buckets_.rbegin()->first;
   }
 
-  /// Checkpoint hook: persists the cached base-window buckets (epoch by
-  /// epoch, keys in canonical order) so a recovered builder's merge path
-  /// serves the same jobs from cache that the uncrashed one would — a
-  /// lost cache would silently fall back to raw-log scans, which is
-  /// bit-identical but defeats the hierarchical-reuse speedup.
-  void SerializeCache(storage::BinaryWriter* w) const;
-
-  /// Restores a SerializeCache()d bucket cache, replacing the current
-  /// one. Fails (cache cleared) on truncation.
-  Status DeserializeCache(storage::BinaryReader* r);
-
-  /// Delta-checkpoint hook: like SerializeCache but only epochs ending
-  /// strictly after `after` (same wire format). Pass 0 for everything.
+  /// Checkpoint hook: persists the cached base-window buckets of the
+  /// epochs ending strictly after `after` (epoch by epoch, keys in
+  /// canonical order); 0 persists the whole cache. A recovered
+  /// builder's merge path then serves the same jobs from cache that the
+  /// uncrashed one would — a lost cache would silently fall back to
+  /// raw-log scans, which is bit-identical but defeats the
+  /// hierarchical-reuse speedup.
   void SerializeCacheSince(SimTime after, storage::BinaryWriter* w) const;
 
   /// Applies a SerializeCacheSince()d section on top of the current
   /// cache: listed epochs replace same-keyed entries, others are kept.
   /// The caller then evicts with the recovered job frontiers to drop
-  /// epochs the checkpoint writer had already evicted.
+  /// epochs the checkpoint writer had already evicted. Fails (cache
+  /// cleared) on truncation or an out-of-range behavior type.
   Status DeserializeCacheDelta(storage::BinaryReader* r);
 
   /// Epoch index of time `t` (>= 0) for `window`: epoch 1 covers

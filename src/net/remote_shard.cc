@@ -30,7 +30,7 @@ Result<std::string> RemoteShardClient::Call(ShardMethod method,
 
 void RemoteShardClient::Ingest(const BehaviorLog& log) {
   storage::BinaryWriter w;
-  EncodeBehaviorLog(log, &w);
+  storage::EncodeBehaviorLog(log, &w);
   auto result = Call(ShardMethod::kIngest, w.data(),
                      /*idempotent=*/false);
   TURBO_CHECK_MSG(result.ok(), "remote Ingest failed: "
@@ -39,7 +39,7 @@ void RemoteShardClient::Ingest(const BehaviorLog& log) {
 
 void RemoteShardClient::IngestBatch(const BehaviorLogList& logs) {
   storage::BinaryWriter w;
-  EncodeLogBatch(logs, &w);
+  storage::EncodeLogBatch(logs, &w);
   auto result = Call(ShardMethod::kIngestBatch, w.data(),
                      /*idempotent=*/false);
   TURBO_CHECK_MSG(result.ok(), "remote IngestBatch failed: "
@@ -48,7 +48,7 @@ void RemoteShardClient::IngestBatch(const BehaviorLogList& logs) {
 
 bool RemoteShardClient::OfferIngest(const BehaviorLog& log) {
   storage::BinaryWriter w;
-  EncodeBehaviorLog(log, &w);
+  storage::EncodeBehaviorLog(log, &w);
   // A transport failure sheds the log — the admission contract's
   // "reject instead of stall", extended to "reject instead of guess
   // whether the peer applied it".

@@ -50,17 +50,6 @@ Status CheckUid(UserId uid, const server::BnServer& server) {
   return Status::OK();
 }
 
-Status CheckLog(const BehaviorLog& log, const server::BnServer& server) {
-  TURBO_RETURN_IF_ERROR(CheckUid(log.uid, server));
-  if (log.time < 0) {
-    return Status::InvalidArgument(
-        StrFormat("negative timestamp %lld for uid %u",
-                  static_cast<long long>(log.time),
-                  static_cast<unsigned>(log.uid)));
-  }
-  return Status::OK();
-}
-
 Status CheckIngestQueue(const server::BnServer& server) {
   if (server.config().ingest_queue_capacity == 0) {
     return Status::FailedPrecondition("shard has no ingest queue");
@@ -123,18 +112,18 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
   switch (static_cast<ShardMethod>(method)) {
     case ShardMethod::kIngest: {
       BehaviorLog log;
-      TURBO_RETURN_IF_ERROR(DecodeAll(body, &log, DecodeBehaviorLog));
-      TURBO_RETURN_IF_ERROR(CheckLog(log, *server_));
+      TURBO_RETURN_IF_ERROR(DecodeAll(body, &log, storage::DecodeBehaviorLog));
+      TURBO_RETURN_IF_ERROR(server_->CheckLog(log));
       std::lock_guard<std::mutex> lock(writer_mu_);
       server_->Ingest(log);
       return std::string();
     }
     case ShardMethod::kIngestBatch: {
       BehaviorLogList logs;
-      TURBO_RETURN_IF_ERROR(DecodeAll(body, &logs, DecodeLogBatch));
+      TURBO_RETURN_IF_ERROR(DecodeAll(body, &logs, storage::DecodeLogBatch));
       // All or nothing: one bad log rejects the whole batch.
       for (const BehaviorLog& log : logs) {
-        TURBO_RETURN_IF_ERROR(CheckLog(log, *server_));
+        TURBO_RETURN_IF_ERROR(server_->CheckLog(log));
       }
       std::lock_guard<std::mutex> lock(writer_mu_);
       server_->IngestBatch(logs);
@@ -143,9 +132,9 @@ Result<std::string> ShardService::Dispatch(uint8_t method,
     case ShardMethod::kOfferIngest: {
       TURBO_RETURN_IF_ERROR(CheckIngestQueue(*server_));
       BehaviorLog log;
-      TURBO_RETURN_IF_ERROR(DecodeAll(body, &log, DecodeBehaviorLog));
+      TURBO_RETURN_IF_ERROR(DecodeAll(body, &log, storage::DecodeBehaviorLog));
       // Checked on the way in: DrainIngest would apply it through Ingest.
-      TURBO_RETURN_IF_ERROR(CheckLog(log, *server_));
+      TURBO_RETURN_IF_ERROR(server_->CheckLog(log));
       // Lock-free producer path by contract; no writer_mu_.
       w.U8(server_->OfferIngest(log) ? 1 : 0);
       return w.data();

@@ -19,46 +19,6 @@ bool ReadBool(storage::BinaryReader* r, bool* out) {
 
 }  // namespace
 
-void EncodeBehaviorLog(const BehaviorLog& log, storage::BinaryWriter* w) {
-  w->U32(log.uid);
-  w->U8(static_cast<uint8_t>(log.type));
-  w->U64(log.value);
-  w->I64(log.time);
-}
-
-Status DecodeBehaviorLog(storage::BinaryReader* r, BehaviorLog* log) {
-  log->uid = r->U32();
-  const uint8_t type = r->U8();
-  log->value = r->U64();
-  log->time = r->I64();
-  if (!r->ok()) return Malformed("behavior log");
-  if (type >= kNumBehaviorTypes) return Malformed("behavior type");
-  log->type = static_cast<BehaviorType>(type);
-  return Status::OK();
-}
-
-void EncodeLogBatch(const BehaviorLogList& logs,
-                    storage::BinaryWriter* w) {
-  w->U64(logs.size());
-  for (const BehaviorLog& log : logs) EncodeBehaviorLog(log, w);
-}
-
-Status DecodeLogBatch(storage::BinaryReader* r, BehaviorLogList* logs) {
-  const uint64_t n = r->U64();
-  // 21 bytes per encoded log bounds n against the body that carries it.
-  if (!r->ok() || n > r->remaining() / 21 + 1) {
-    return Malformed("log batch count");
-  }
-  logs->clear();
-  logs->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    BehaviorLog log;
-    TURBO_RETURN_IF_ERROR(DecodeBehaviorLog(r, &log));
-    logs->push_back(log);
-  }
-  return Status::OK();
-}
-
 void EncodeSubgraph(const bn::Subgraph& sg, storage::BinaryWriter* w) {
   w->U64(sg.nodes.size());
   for (UserId uid : sg.nodes) w->U32(uid);

@@ -1,10 +1,12 @@
 // Wire encodings of the domain messages the cluster RPCs carry
-// (DESIGN.md §15): behavior logs, sampled subgraphs, prediction
-// responses. Built on storage::BinaryWriter/BinaryReader — the same
-// fixed-width little-endian primitives as the checkpoint container, so
-// every field is bit-exact across the wire (doubles travel as their bit
-// patterns, which is what the bit-identity conformance suite relies
-// on).
+// (DESIGN.md §15): sampled subgraphs and prediction responses. Behavior
+// logs and log batches travel in storage's codec
+// (storage::EncodeBehaviorLog / EncodeLogBatch), the bytes the WAL and
+// the checkpoint carry too. Built on storage::BinaryWriter/BinaryReader
+// — the same fixed-width little-endian primitives as the checkpoint
+// container, so every field is bit-exact across the wire (doubles
+// travel as their bit patterns, which is what the bit-identity
+// conformance suite relies on).
 //
 // Decoders return Status instead of CHECKing: a malformed body is a
 // peer bug or corruption that slipped past the frame CRC, and must
@@ -16,18 +18,10 @@
 
 #include "bn/sampler.h"
 #include "server/prediction_server.h"
-#include "storage/behavior_log.h"
 #include "storage/checkpoint_io.h"
 #include "util/status.h"
 
 namespace turbo::net {
-
-void EncodeBehaviorLog(const BehaviorLog& log, storage::BinaryWriter* w);
-Status DecodeBehaviorLog(storage::BinaryReader* r, BehaviorLog* log);
-
-void EncodeLogBatch(const BehaviorLogList& logs,
-                    storage::BinaryWriter* w);
-Status DecodeLogBatch(storage::BinaryReader* r, BehaviorLogList* logs);
 
 /// Subgraphs serialize nodes + typed triplets; the local index map is
 /// rebuilt on decode (it is derived state: nodes[i] -> i).

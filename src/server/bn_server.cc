@@ -25,6 +25,16 @@ std::string CheckpointPath(const std::string& dir) {
   return dir + "/" + kCheckpointFile;
 }
 
+/// The seven sections of a full checkpoint ([0]) and of a delta link
+/// ([1]). The writer emits them in any order: the container stores
+/// sections sorted by name.
+enum Section { kMeta, kServer, kEdges, kLogs, kBuckets, kSnapshot, kChurn };
+constexpr const char* kSectionNames[2][7] = {
+    {"meta", "server", "edges", "logs", "buckets", "snapshot", "churn"},
+    {"meta", "server", "edges_delta", "logs_delta", "buckets_delta",
+     "snapshot_delta", "churn"},
+};
+
 }  // namespace
 
 BnServer::BnServer(BnServerConfig config)
@@ -115,7 +125,9 @@ void BnServer::EnsureWalOpen() {
 Status BnServer::OpenWalSegment(uint64_t seq) {
   TURBO_CHECK(!config_.wal_dir.empty());
   Status s = wal_writer_.Close();
-  if (s.ok()) s = wal_writer_.Open(config_.wal_dir, seq, config_.wal);
+  if (s.ok()) {
+    s = wal_writer_.Open(config_.wal_dir, seq, config_.wal, Fingerprint());
+  }
   if (!s.ok()) {
     wal_error_ = s.ToString();
     return s;
@@ -278,34 +290,57 @@ void BnServer::RefreshSnapshot() {
   last_snapshot_ = now_.load(std::memory_order_relaxed);
 }
 
-void BnServer::BuildMetaSection(storage::BinaryWriter* meta) const {
-  meta->U32(kStateVersion);
-  meta->I64(config_.num_users);
-  meta->U64(config_.bn.windows.size());
-  for (SimTime w : config_.bn.windows) meta->I64(w);
-  meta->I64(config_.bn.edge_ttl);
-  meta->U8(config_.bn.inverse_weighting ? 1 : 0);
-  meta->I64(config_.bn.max_bucket_users);
-  meta->U64(config_.bn.bucket_sample_seed);
-  meta->I64(config_.snapshot_refresh);
+std::string BnServer::Fingerprint() const {
+  storage::BinaryWriter meta;
+  meta.U32(kStateVersion);
+  meta.I64(config_.num_users);
+  meta.U64(config_.bn.windows.size());
+  for (SimTime w : config_.bn.windows) meta.I64(w);
+  meta.I64(config_.bn.edge_ttl);
+  meta.U8(config_.bn.inverse_weighting ? 1 : 0);
+  meta.I64(config_.bn.max_bucket_users);
+  meta.U64(config_.bn.bucket_sample_seed);
+  meta.I64(config_.snapshot_refresh);
   const bn::ShardTopology& topo = config_.bn.topology;
-  meta->U32(static_cast<uint32_t>(topo.shard_count));
-  meta->U32(static_cast<uint32_t>(topo.shard_index));
-  meta->U64(topo.user_seed);
-  meta->U64(topo.value_seed);
+  meta.U32(static_cast<uint32_t>(topo.shard_count));
+  meta.U32(static_cast<uint32_t>(topo.shard_index));
+  meta.U64(topo.user_seed);
+  meta.U64(topo.value_seed);
+  return meta.data();
 }
 
-void BnServer::BuildServerSection(storage::BinaryWriter* server,
-                                  uint64_t next_seq) const {
-  server->I64(now_.load(std::memory_order_relaxed));
-  server->U64(next_seq);
-  server->U64(last_job_end_.size());
-  for (SimTime t : last_job_end_) server->I64(t);
-  server->I64(last_expiry_);
-  server->I64(last_snapshot_);
-  server->U64(next_version_);
-  server->U64(jobs_run_);
-  server->U64(edges_expired_);
+Status BnServer::CheckFingerprint(std::string_view fingerprint) const {
+  storage::BinaryReader reader(fingerprint);
+  const uint32_t state_version = reader.U32();
+  if (state_version != kStateVersion) {
+    return Status::InvalidArgument(
+        StrFormat("unsupported state version %u", state_version));
+  }
+  // Everything that shapes the deterministic engine's output must
+  // match the running config, or "recovered" state would silently
+  // diverge from what this server will compute going forward.
+  if (fingerprint != Fingerprint()) {
+    return Status::FailedPrecondition(
+        "state was written under a different BN config "
+        "(users/windows/ttl/weighting/seed/refresh and the shard "
+        "topology must match)");
+  }
+  return Status::OK();
+}
+
+Status BnServer::CheckLog(const BehaviorLog& log) const {
+  if (log.uid >= static_cast<UserId>(config_.num_users)) {
+    return Status::InvalidArgument(
+        StrFormat("uid %u out of range: the server has %d users",
+                  static_cast<unsigned>(log.uid), config_.num_users));
+  }
+  if (log.time < 0) {
+    return Status::InvalidArgument(
+        StrFormat("negative timestamp %lld for uid %u",
+                  static_cast<long long>(log.time),
+                  static_cast<unsigned>(log.uid)));
+  }
+  return Status::OK();
 }
 
 void BnServer::ResetChainTrackers(uint64_t covered_seq) {
@@ -314,6 +349,77 @@ void BnServer::ResetChainTrackers(uint64_t covered_seq) {
   last_ckpt_cache_max_epoch_ = builder_.MaxCachedEpoch();
   checkpoint_churn_.Clear();
   pending_log_tail_.clear();
+}
+
+storage::CheckpointWriter BnServer::BuildCheckpoint(
+    storage::CheckpointKind kind, uint64_t covered_seq) const {
+  // A full checkpoint is the link whose base is empty: no parent, no
+  // cached epochs, no snapshot. Only the edges and logs sections keep a
+  // second encoder, because a full carries them in bulk form.
+  const bool delta = kind == storage::CheckpointKind::kDelta;
+  const auto& names = kSectionNames[delta];
+  storage::CheckpointWriter writer;
+  writer.SetChain(kind, covered_seq, delta ? last_ckpt_seq_ : 0);
+  const std::string fingerprint = Fingerprint();
+  storage::BinaryWriter meta;
+  meta.Bytes(fingerprint.data(), fingerprint.size());
+  writer.AddSection(names[kMeta], meta);
+
+  storage::BinaryWriter server;
+  server.I64(now_.load(std::memory_order_relaxed));
+  server.U64(covered_seq);
+  server.U64(last_job_end_.size());
+  for (SimTime t : last_job_end_) server.I64(t);
+  server.I64(last_expiry_);
+  server.I64(last_snapshot_);
+  server.U64(next_version_);
+  server.U64(jobs_run_);
+  server.U64(edges_expired_);
+  writer.AddSection(names[kServer], server);
+
+  storage::BinaryWriter edges;
+  storage::BinaryWriter logs;
+  if (delta) {
+    // Current rows of every node churned since the last checkpoint
+    // (apply = clear-then-insert over the parent state), and the raw
+    // logs appended since then (appends are order-deterministic).
+    edges_.SerializeTouched(checkpoint_churn_, &edges);
+    storage::EncodeLogBatch(pending_log_tail_, &logs);
+  } else {
+    edges_.Serialize(&edges);
+    logs_.Serialize(&logs);
+  }
+  writer.AddSection(names[kEdges], edges);
+  writer.AddSection(names[kLogs], logs);
+
+  // Cache epochs created since the base. Epochs evicted since then need
+  // no record: recovery re-evicts with the recovered job frontiers,
+  // which derive the same bound the writer used.
+  storage::BinaryWriter buckets;
+  builder_.SerializeCacheSince(delta ? last_ckpt_cache_max_epoch_ : 0,
+                               &buckets);
+  writer.AddSection(names[kBuckets], buckets);
+
+  // Published snapshot over the base's: unchanged (mode 0, also "none
+  // yet"), whole (mode 1), or a row-group diff (mode 2).
+  const auto base = delta ? last_ckpt_snapshot_ : nullptr;
+  const auto published = snapshot_.load(std::memory_order_acquire);
+  storage::BinaryWriter snap;
+  if (published == base) {
+    snap.U8(0);
+  } else if (base == nullptr) {
+    snap.U8(1);
+    published->Serialize(&snap);
+  } else {
+    snap.U8(2);
+    published->SerializeDiff(*base, &snap);
+  }
+  writer.AddSection(names[kSnapshot], snap);
+
+  storage::BinaryWriter churn;
+  snapshot_churn_.Serialize(&churn);
+  writer.AddSection(names[kChurn], churn);
+  return writer;
 }
 
 Status BnServer::Checkpoint(const std::string& dir) {
@@ -335,80 +441,17 @@ Status BnServer::Checkpoint(const std::string& dir) {
   // increase checkpoint over checkpoint, so delta file names and chain
   // links never collide).
   const uint64_t next_seq = wal_on ? wal_writer_.seq() + 1 : 0;
-  auto published = snapshot_.load(std::memory_order_acquire);
 
   // Try a delta first when a base exists and the chain is not exhausted:
-  // it is O(churn) to assemble, and the size heuristic below falls back
-  // to a full checkpoint when churn grew too close to the full state.
+  // it is O(churn) to assemble. It is only written while its file stays
+  // below this fraction of the last full checkpoint's bytes; otherwise
+  // the checkpoint is written full (and the chain resets).
+  constexpr double kDeltaCheckpointMaxFraction = 0.5;
   bool wrote_delta = false;
   if (wal_on && config_.delta_checkpoints && have_ckpt_base_ &&
       delta_chain_len_ < config_.max_delta_chain) {
-    storage::CheckpointWriter writer;
-    writer.SetChain(storage::CheckpointKind::kDelta, next_seq,
-                    last_ckpt_seq_);
-    {
-      storage::BinaryWriter meta;
-      BuildMetaSection(&meta);
-      writer.AddSection("meta", meta);
-    }
-    {
-      storage::BinaryWriter server;
-      BuildServerSection(&server, next_seq);
-      writer.AddSection("server", server);
-    }
-    {
-      // Current rows of every node churned since the last checkpoint;
-      // apply = clear-then-insert over the parent state.
-      storage::BinaryWriter edges;
-      edges_.SerializeTouched(checkpoint_churn_, &edges);
-      writer.AddSection("edges_delta", edges);
-    }
-    {
-      // Raw logs appended since the last checkpoint, replayed through
-      // LogStore::Append on recovery (appends are order-deterministic).
-      storage::BinaryWriter logs;
-      logs.U64(pending_log_tail_.size());
-      for (const BehaviorLog& log : pending_log_tail_) {
-        logs.U32(log.uid);
-        logs.U8(static_cast<uint8_t>(log.type));
-        logs.U64(log.value);
-        logs.I64(log.time);
-      }
-      writer.AddSection("logs_delta", logs);
-    }
-    {
-      // Cache epochs created since the last checkpoint. Epochs evicted
-      // since then need no record: recovery re-evicts with the recovered
-      // job frontiers, which derive the same bound the writer used.
-      storage::BinaryWriter buckets;
-      builder_.SerializeCacheSince(last_ckpt_cache_max_epoch_, &buckets);
-      writer.AddSection("buckets_delta", buckets);
-    }
-    {
-      // Published-snapshot delta: unchanged (mode 0), first-ever
-      // snapshot (mode 1, full payload), or a row-group diff against
-      // the snapshot the last checkpoint persisted (mode 2).
-      storage::BinaryWriter snap;
-      if (published == last_ckpt_snapshot_) {
-        snap.U8(0);
-      } else if (last_ckpt_snapshot_ == nullptr) {
-        snap.U8(1);
-        published->Serialize(&snap);
-      } else {
-        snap.U8(2);
-        published->SerializeDiff(*last_ckpt_snapshot_, &snap);
-      }
-      writer.AddSection("snapshot_delta", snap);
-    }
-    {
-      storage::BinaryWriter churn;
-      snapshot_churn_.Serialize(&churn);
-      writer.AddSection("churn", churn);
-    }
-    // A delta is only written while its file stays below this fraction
-    // of the last full checkpoint's bytes; otherwise the checkpoint is
-    // written full (and the chain resets).
-    constexpr double kDeltaCheckpointMaxFraction = 0.5;
+    const storage::CheckpointWriter writer =
+        BuildCheckpoint(storage::CheckpointKind::kDelta, next_seq);
     const size_t delta_bytes = writer.TotalBytes();
     if (static_cast<double>(delta_bytes) <=
         kDeltaCheckpointMaxFraction *
@@ -424,44 +467,8 @@ Status BnServer::Checkpoint(const std::string& dir) {
   }
 
   if (!wrote_delta) {
-    storage::CheckpointWriter writer;
-    writer.SetChain(storage::CheckpointKind::kFull, next_seq, 0);
-    {
-      storage::BinaryWriter meta;
-      BuildMetaSection(&meta);
-      writer.AddSection("meta", meta);
-    }
-    {
-      storage::BinaryWriter server;
-      BuildServerSection(&server, next_seq);
-      writer.AddSection("server", server);
-    }
-    {
-      storage::BinaryWriter edges;
-      edges_.Serialize(&edges);
-      writer.AddSection("edges", edges);
-    }
-    {
-      storage::BinaryWriter logs;
-      logs_.Serialize(&logs);
-      writer.AddSection("logs", logs);
-    }
-    {
-      storage::BinaryWriter buckets;
-      builder_.SerializeCache(&buckets);
-      writer.AddSection("buckets", buckets);
-    }
-    {
-      storage::BinaryWriter snap;
-      snap.U8(published != nullptr ? 1 : 0);
-      if (published != nullptr) published->Serialize(&snap);
-      writer.AddSection("snapshot", snap);
-    }
-    {
-      storage::BinaryWriter churn;
-      snapshot_churn_.Serialize(&churn);
-      writer.AddSection("churn", churn);
-    }
+    const storage::CheckpointWriter writer =
+        BuildCheckpoint(storage::CheckpointKind::kFull, next_seq);
     TURBO_RETURN_IF_ERROR(writer.WriteFile(CheckpointPath(dir)));
     // The new base supersedes every delta (including stale ones left by
     // a crash between an earlier full checkpoint and this cleanup).
@@ -491,142 +498,99 @@ Status BnServer::Checkpoint(const std::string& dir) {
   return Status::OK();
 }
 
-Status BnServer::CheckMeta(const storage::CheckpointReader& reader) const {
-  storage::BinaryReader meta(reader.Find("meta"));
-  const uint32_t state_version = meta.U32();
-  if (state_version != kStateVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported checkpoint state version %u", state_version));
-  }
-  // Everything that shapes the deterministic engine's output must
-  // match the running config, or "recovered" state would silently
-  // diverge from what this server will compute going forward.
-  bool match = meta.I64() == config_.num_users;
-  match = match && meta.U64() == config_.bn.windows.size();
-  if (match) {
-    for (SimTime w : config_.bn.windows) match = match && meta.I64() == w;
-  }
-  match = match && meta.I64() == config_.bn.edge_ttl;
-  match = match && meta.U8() == (config_.bn.inverse_weighting ? 1 : 0);
-  match = match && meta.I64() == config_.bn.max_bucket_users;
-  match = match && meta.U64() == config_.bn.bucket_sample_seed;
-  match = match && meta.I64() == config_.snapshot_refresh;
-  const bn::ShardTopology& topo = config_.bn.topology;
-  match =
-      match && meta.U32() == static_cast<uint32_t>(topo.shard_count);
-  match =
-      match && meta.U32() == static_cast<uint32_t>(topo.shard_index);
-  match = match && meta.U64() == topo.user_seed;
-  match = match && meta.U64() == topo.value_seed;
-  if (!match || !meta.ok()) {
-    return Status::FailedPrecondition(
-        "checkpoint was written under a different BN config "
-        "(users/windows/ttl/weighting/seed/refresh and the shard "
-        "topology must match)");
-  }
-  return Status::OK();
-}
-
-Status BnServer::DecodeServerSection(std::string_view payload,
-                                     uint64_t* start_seq) {
-  storage::BinaryReader server(payload);
-  const SimTime saved_now = server.I64();
-  *start_seq = server.U64();
-  if (*start_seq == 0) *start_seq = UINT64_MAX;
-  const uint64_t num_frontiers = server.U64();
-  if (num_frontiers != last_job_end_.size()) {
-    return Status::InvalidArgument("checkpoint frontier count mismatch");
-  }
-  for (SimTime& t : last_job_end_) t = server.I64();
-  last_expiry_ = server.I64();
-  last_snapshot_ = server.I64();
-  next_version_ = server.U64();
-  jobs_run_ = server.U64();
-  edges_expired_ = server.U64();
-  if (!server.ok() || server.remaining() != 0) {
-    return Status::InvalidArgument("corrupt checkpoint server section");
-  }
-  now_.store(saved_now, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status BnServer::ApplyCheckpointDelta(
-    const storage::CheckpointReader& reader, uint64_t* start_seq) {
-  for (const char* name : {"meta", "server", "edges_delta", "logs_delta",
-                           "buckets_delta", "snapshot_delta", "churn"}) {
+Status BnServer::ApplyCheckpoint(const storage::CheckpointReader& reader,
+                                 uint64_t* start_seq) {
+  const bool delta = reader.kind() == storage::CheckpointKind::kDelta;
+  const auto& names = kSectionNames[delta];
+  for (const char* name : names) {
     if (!reader.Has(name)) {
       return Status::InvalidArgument(
-          StrFormat("delta checkpoint missing section '%s'", name));
+          StrFormat("checkpoint missing section '%s'", name));
     }
   }
-  TURBO_RETURN_IF_ERROR(CheckMeta(reader));
-  TURBO_RETURN_IF_ERROR(
-      DecodeServerSection(reader.Find("server"), start_seq));
+  TURBO_RETURN_IF_ERROR(CheckFingerprint(reader.Find(names[kMeta])));
   {
-    storage::BinaryReader edges(reader.Find("edges_delta"));
-    TURBO_RETURN_IF_ERROR(edges_.ApplyDeltaSection(
-        &edges, static_cast<UserId>(config_.num_users)));
+    storage::BinaryReader server(reader.Find(names[kServer]));
+    const SimTime saved_now = server.I64();
+    *start_seq = server.U64();
+    const uint64_t num_frontiers = server.U64();
+    if (num_frontiers != last_job_end_.size()) {
+      return Status::InvalidArgument("checkpoint frontier count mismatch");
+    }
+    for (SimTime& t : last_job_end_) t = server.I64();
+    last_expiry_ = server.I64();
+    last_snapshot_ = server.I64();
+    next_version_ = server.U64();
+    jobs_run_ = server.U64();
+    edges_expired_ = server.U64();
+    if (!server.ok() || server.remaining() != 0) {
+      return Status::InvalidArgument("corrupt checkpoint server section");
+    }
+    now_.store(saved_now, std::memory_order_relaxed);
+  }
+  const auto num_users = static_cast<UserId>(config_.num_users);
+  {
+    storage::BinaryReader edges(reader.Find(names[kEdges]));
+    TURBO_RETURN_IF_ERROR(delta ? edges_.ApplyDeltaSection(&edges, num_users)
+                                : edges_.Deserialize(&edges, num_users));
   }
   {
-    // Appended directly, not through Ingest: replayed logs must not hit
-    // the WAL or the since-last-checkpoint tail — they are already
-    // durable in the chain being applied.
-    storage::BinaryReader logs(reader.Find("logs_delta"));
-    const uint64_t count = logs.U64();
-    constexpr size_t kLogBytes = sizeof(uint32_t) + sizeof(uint8_t) +
-                                 sizeof(uint64_t) + sizeof(int64_t);
-    if (!logs.ok() || count > logs.remaining() / kLogBytes) {
-      return Status::InvalidArgument("corrupt logs_delta section");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      BehaviorLog log;
-      log.uid = logs.U32();
-      log.type = static_cast<BehaviorType>(logs.U8());
-      log.value = logs.U64();
-      log.time = logs.I64();
-      if (!logs.ok() ||
-          log.uid >= static_cast<UserId>(config_.num_users) ||
-          log.time < 0) {
-        return Status::InvalidArgument("corrupt logs_delta record");
+    storage::BinaryReader logs(reader.Find(names[kLogs]));
+    if (delta) {
+      // Appended directly, not through Ingest: replayed logs must not
+      // hit the WAL or the since-last-checkpoint tail — they are
+      // already durable in the chain being applied.
+      BehaviorLogList tail;
+      TURBO_RETURN_IF_ERROR(storage::DecodeLogBatch(&logs, &tail));
+      if (logs.remaining() != 0) {
+        return Status::InvalidArgument("trailing bytes in logs_delta");
       }
-      logs_.Append(log);
-    }
-    if (logs.remaining() != 0) {
-      return Status::InvalidArgument("trailing bytes in logs_delta");
+      for (const BehaviorLog& log : tail) {
+        TURBO_RETURN_IF_ERROR(CheckLog(log));
+        logs_.Append(log);
+      }
+    } else {
+      TURBO_RETURN_IF_ERROR(logs_.Deserialize(&logs));
     }
   }
   {
-    storage::BinaryReader buckets(reader.Find("buckets_delta"));
+    storage::BinaryReader buckets(reader.Find(names[kBuckets]));
     TURBO_RETURN_IF_ERROR(builder_.DeserializeCacheDelta(&buckets));
-    // The delta carries only epochs cached since its parent; epochs the
+    // A delta carries only epochs cached since its parent; epochs the
     // writer *evicted* in that span leave no record. Re-evicting with
     // the just-decoded frontiers reproduces the writer's bound exactly
-    // (it evicts with min(last_job_end_) after every job too).
+    // (it evicts with min(last_job_end_) after every job too); after a
+    // full load it removes nothing.
     if (!last_job_end_.empty()) {
       builder_.EvictCachedBuckets(
           *std::min_element(last_job_end_.begin(), last_job_end_.end()));
     }
   }
   {
-    storage::BinaryReader snap(reader.Find("snapshot_delta"));
+    // Mode 0 keeps the current snapshot, 1 replaces it, 2 patches it.
+    // While the base is read there is no current snapshot, so a diff
+    // there is rejected.
+    storage::BinaryReader snap(reader.Find(names[kSnapshot]));
     const uint8_t mode = snap.U8();
     if (!snap.ok() || mode > 2) {
-      return Status::InvalidArgument("corrupt snapshot_delta section");
+      return Status::InvalidArgument("corrupt checkpoint snapshot section");
     }
     if (mode != 0) {
       auto base = snapshot_.load(std::memory_order_acquire);
       if (mode == 2 && base == nullptr) {
         return Status::InvalidArgument(
-            "snapshot_delta diff with no base snapshot in the chain");
+            "snapshot diff with no base snapshot in the chain");
       }
       auto snapshot_or = mode == 1
                              ? bn::BnSnapshot::Deserialize(&snap)
                              : bn::BnSnapshot::DeserializePatched(base, &snap);
       if (!snapshot_or.ok()) return snapshot_or.status();
       auto restored = snapshot_or.take();
+      // The meta section pins num_users, so a mismatched node count in
+      // a CRC-valid snapshot can only be corruption.
       if (restored->num_nodes() != config_.num_users) {
         return Status::InvalidArgument(StrFormat(
-            "delta checkpoint snapshot has %d nodes but the server is "
+            "checkpoint snapshot has %d nodes but the server is "
             "configured for %d users",
             restored->num_nodes(), config_.num_users));
       }
@@ -636,14 +600,10 @@ Status BnServer::ApplyCheckpointDelta(
       snapshot_.store(std::move(restored), std::memory_order_release);
     }
   }
-  {
-    // Full replacement, not a merge: the section is the writer's entire
-    // since-last-publish set at checkpoint time.
-    storage::BinaryReader churn(reader.Find("churn"));
-    TURBO_RETURN_IF_ERROR(snapshot_churn_.Deserialize(
-        &churn, static_cast<UserId>(config_.num_users)));
-  }
-  return Status::OK();
+  // Full replacement, not a merge: the section is the writer's entire
+  // since-last-publish set at checkpoint time.
+  storage::BinaryReader churn(reader.Find(names[kChurn]));
+  return snapshot_churn_.Deserialize(&churn, num_users);
 }
 
 Status BnServer::Recover(const std::string& dir) {
@@ -652,11 +612,13 @@ Status BnServer::Recover(const std::string& dir) {
           now_.load(std::memory_order_relaxed) == 0,
       "Recover() must run on a freshly constructed server, before any "
       "Ingest/AdvanceTo");
+  TURBO_CHECK_MSG(config_.wal_dir.empty() || config_.wal_dir == dir,
+                  "Recover dir must be wal_dir when the WAL is enabled");
   recovered_or_started_ = true;
   Stopwatch sw;
-  // Segments < start_seq are covered by the checkpoint; 1 when starting
-  // from WAL only. UINT64_MAX (checkpoint written with the WAL disabled)
-  // replays nothing.
+  // The first WAL segment not covered by the checkpoint chain: 1 when
+  // starting from WAL only, 0 (no tail) after a checkpoint written
+  // with the WAL disabled.
   uint64_t start_seq = 1;
   bool checkpoint_loaded = false;
   uint64_t chain_tail_seq = 0;  // covered_seq of the last applied link
@@ -669,55 +631,7 @@ Status BnServer::Recover(const std::string& dir) {
       return Status::InvalidArgument(
           "checkpoint.bin is not a full checkpoint");
     }
-    for (const char* name : {"meta", "server", "edges", "logs", "buckets",
-                             "snapshot", "churn"}) {
-      if (!reader.Has(name)) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint missing section '%s'", name));
-      }
-    }
-    TURBO_RETURN_IF_ERROR(CheckMeta(reader));
-    TURBO_RETURN_IF_ERROR(
-        DecodeServerSection(reader.Find("server"), &start_seq));
-    {
-      storage::BinaryReader edges(reader.Find("edges"));
-      TURBO_RETURN_IF_ERROR(edges_.Deserialize(
-          &edges, static_cast<UserId>(config_.num_users)));
-    }
-    {
-      storage::BinaryReader logs(reader.Find("logs"));
-      TURBO_RETURN_IF_ERROR(logs_.Deserialize(&logs));
-    }
-    {
-      storage::BinaryReader buckets(reader.Find("buckets"));
-      TURBO_RETURN_IF_ERROR(builder_.DeserializeCache(&buckets));
-    }
-    {
-      storage::BinaryReader snap(reader.Find("snapshot"));
-      if (snap.U8() != 0) {
-        auto snapshot_or = bn::BnSnapshot::Deserialize(&snap);
-        if (!snapshot_or.ok()) return snapshot_or.status();
-        auto restored = snapshot_or.take();
-        // The meta section pins num_users, so a mismatched node count in
-        // a CRC-valid snapshot can only be corruption.
-        if (restored->num_nodes() != config_.num_users) {
-          return Status::InvalidArgument(StrFormat(
-              "checkpoint snapshot has %d nodes but the server is "
-              "configured for %d users",
-              restored->num_nodes(), config_.num_users));
-        }
-        snapshot_version_g_->Set(static_cast<double>(restored->version()));
-        snapshot_edges_g_->Set(static_cast<double>(restored->TotalEdges()));
-        snapshot_bytes_g_->Set(
-            static_cast<double>(restored->MemoryBytes()));
-        snapshot_.store(std::move(restored), std::memory_order_release);
-      }
-    }
-    {
-      storage::BinaryReader churn(reader.Find("churn"));
-      TURBO_RETURN_IF_ERROR(snapshot_churn_.Deserialize(
-          &churn, static_cast<UserId>(config_.num_users)));
-    }
+    TURBO_RETURN_IF_ERROR(ApplyCheckpoint(reader, &start_seq));
     checkpoint_loaded = true;
     chain_tail_seq = reader.covered_seq();
   }
@@ -752,7 +666,7 @@ Status BnServer::Recover(const std::string& dir) {
           static_cast<unsigned long long>(delta.parent_seq()),
           static_cast<unsigned long long>(chain_tail_seq)));
     }
-    TURBO_RETURN_IF_ERROR(ApplyCheckpointDelta(delta, &start_seq));
+    TURBO_RETURN_IF_ERROR(ApplyCheckpoint(delta, &start_seq));
     chain_tail_seq = seq;
     ++chain_links;
   }
@@ -772,136 +686,128 @@ Status BnServer::Recover(const std::string& dir) {
     checkpoint_chain_len_g_->Set(static_cast<double>(delta_chain_len_));
   }
 
-  // Replay the WAL tail through the normal ingest/advance paths — the
-  // engine is deterministic, so re-execution reproduces the writer's
-  // state bit for bit.
-  uint64_t last_seq = 0;
-  std::vector<uint64_t> seqs = storage::ListWalSegments(dir);
-  std::erase_if(seqs, [&](uint64_t s) { return s < start_seq; });
-  // The tail must begin exactly at start_seq — a later first segment
-  // means records between the checkpoint and it are gone (an empty list
-  // is fine: a crash between checkpoint publish and rotation leaves no
-  // uncovered segment).
-  if (!seqs.empty() && seqs[0] != start_seq) {
-    return Status::Internal(StrFormat(
-        "WAL replay must start at segment %llu but the first surviving "
-        "segment is %llu",
-        static_cast<unsigned long long>(start_seq),
-        static_cast<unsigned long long>(seqs[0])));
-  }
-  wal_replaying_ = true;
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    if (i > 0 && seqs[i] != seqs[i - 1] + 1) {
-      wal_replaying_ = false;
-      return Status::Internal(StrFormat(
-          "missing WAL segment between %llu and %llu",
-          static_cast<unsigned long long>(seqs[i - 1]),
-          static_cast<unsigned long long>(seqs[i])));
-    }
-    auto segment_or =
-        storage::ReadWalSegment(storage::WalSegmentPath(dir, seqs[i]));
-    if (!segment_or.ok()) {
-      wal_replaying_ = false;
-      return segment_or.status();
-    }
-    const storage::WalSegment& segment = segment_or.value();
-    if (segment.torn && i + 1 < seqs.size()) {
-      wal_replaying_ = false;
-      return Status::Internal(StrFormat(
-          "WAL segment %llu has a torn tail but is not the last segment",
-          static_cast<unsigned long long>(seqs[i])));
-    }
-    if (segment.torn && !config_.wal_dir.empty()) {
-      // Drop the torn tail on disk as well: once a post-recovery segment
-      // opens after this one it is no longer the last, and a torn
-      // non-final segment would (rightly) fail the next Recover. The
-      // torn bytes carry no replayable record, so truncation loses
-      // nothing.
-      const Status ts = storage::TruncateWalSegment(
-          storage::WalSegmentPath(dir, seqs[i]), segment.valid_bytes);
-      if (!ts.ok()) {
-        wal_replaying_ = false;
-        return ts;
-      }
-    }
-    for (const storage::WalRecord& record : segment.records) {
-      switch (record.kind) {
-        case storage::WalRecord::Kind::kIngest:
-          Ingest(record.log);
-          break;
-        case storage::WalRecord::Kind::kAdvance:
-          AdvanceTo(record.advance_to);
-          break;
-      }
-    }
-    wal_replayed_records_->Increment(segment.records.size());
-    last_seq = seqs[i];
-    wal_resume_seq_ = seqs[i];
-    wal_resume_records_ = segment.records.size();
-  }
-  wal_replaying_ = false;
-  if (seqs.empty() && start_seq != UINT64_MAX) {
-    // Nothing to replay, but a WAL-backed checkpoint names where future
-    // records will land — a crash between checkpoint publish and
-    // rotation leaves no uncovered segment yet.
-    wal_resume_seq_ = start_seq;
-    wal_resume_records_ = 0;
-  }
-
+  replay_seq_ = start_seq;
+  replay_records_ = 0;
+  TURBO_RETURN_IF_ERROR(ReplayWal(dir));
   if (!config_.wal_dir.empty()) {
-    TURBO_CHECK_MSG(config_.wal_dir == dir,
-                    "Recover dir must be wal_dir when the WAL is enabled");
-    // Never append to a (possibly torn) old segment: start a fresh one.
-    uint64_t next = last_seq + 1;
-    if (start_seq != UINT64_MAX && start_seq != 1) {
-      next = std::max(next, start_seq);
-    }
-    TURBO_RETURN_IF_ERROR(OpenWalSegment(next));
+    TURBO_RETURN_IF_ERROR(OpenWalSegment(NextWalSeq(dir)));
   }
   recovery_s_->Set(sw.ElapsedSeconds());
   return Status::OK();
 }
 
-void BnServer::ApplyReplicated(const storage::WalRecord& record) {
-  TURBO_CHECK_MSG(config_.wal_dir.empty(),
-                  "ApplyReplicated requires a WAL-less standby server — "
-                  "the record is already durable in the shipped WAL");
-  recovered_or_started_ = true;
+Status BnServer::ReplayWal(const std::string& dir) {
+  // A server appending to its own WAL would apply its records twice.
+  TURBO_CHECK_MSG(!wal_writer_.is_open(),
+                  "ReplayWal on a server whose WAL writer is open");
+  if (replay_seq_ == 0) return Status::OK();  // no WAL tail
+  std::vector<uint64_t> seqs = storage::ListWalSegments(dir);
+  std::erase_if(seqs, [&](uint64_t s) { return s < replay_seq_; });
+  // The tail must begin exactly at the cursor's segment. A later first
+  // segment means records between the cursor and it are gone: the
+  // checkpoint rotation outran a standby, or files were lost. An empty
+  // list is fine: a crash between checkpoint publish and rotation
+  // leaves no uncovered segment.
+  if (!seqs.empty() && seqs[0] != replay_seq_) {
+    return Status::Internal(StrFormat(
+        "replication gap: replay needs segment %llu but the first "
+        "surviving segment is %llu",
+        static_cast<unsigned long long>(replay_seq_),
+        static_cast<unsigned long long>(seqs[0])));
+  }
   wal_replaying_ = true;
-  switch (record.kind) {
-    case storage::WalRecord::Kind::kIngest:
-      Ingest(record.log);
-      break;
-    case storage::WalRecord::Kind::kAdvance:
-      AdvanceTo(record.advance_to);
-      break;
+  Status status;
+  for (size_t i = 0; status.ok() && i < seqs.size(); ++i) {
+    if (i > 0 && seqs[i] != seqs[i - 1] + 1) {
+      status = Status::Internal(StrFormat(
+          "replication gap between segments %llu and %llu",
+          static_cast<unsigned long long>(seqs[i - 1]),
+          static_cast<unsigned long long>(seqs[i])));
+    } else {
+      status = ReplaySegment(dir, seqs[i], i + 1 == seqs.size());
+    }
   }
   wal_replaying_ = false;
-  wal_replayed_records_->Increment();
+  return status;
+}
+
+Status BnServer::ReplaySegment(const std::string& dir, uint64_t seq,
+                               bool last) {
+  const std::string path = storage::WalSegmentPath(dir, seq);
+  auto segment_or = storage::ReadWalSegment(path);
+  if (!segment_or.ok()) return segment_or.status();
+  const storage::WalSegment& segment = segment_or.value();
+  TURBO_RETURN_IF_ERROR(CheckFingerprint(segment.fingerprint));
+  const size_t already = seq == replay_seq_ ? replay_records_ : 0;
+  if (segment.records.size() < already) {
+    return Status::Internal(StrFormat(
+        "WAL segment %llu shrank below the applied prefix (%zu < %zu "
+        "records)",
+        static_cast<unsigned long long>(seq), segment.records.size(),
+        already));
+  }
+  if (segment.torn && !last) {
+    // A successor exists, so the writer sealed this segment: ending
+    // mid-record is corruption, not a crash or a ship in flight.
+    return Status::Internal(StrFormat(
+        "WAL segment %llu has a torn tail but is not the last segment",
+        static_cast<unsigned long long>(seq)));
+  }
+  if (segment.torn && dir == config_.wal_dir) {
+    // This server owns the bytes: drop the torn tail on disk as well,
+    // or it would become a torn non-final segment once the next one
+    // opens. The torn bytes carry no replayable record. A directory
+    // that is not ours may still be growing (a ship in flight), so
+    // there replay just stops before the tear.
+    TURBO_RETURN_IF_ERROR(
+        storage::TruncateWalSegment(path, segment.valid_bytes));
+  }
+  replay_seq_ = seq;
+  replay_records_ = already;
+  for (size_t r = already; r < segment.records.size(); ++r) {
+    const storage::WalRecord& record = segment.records[r];
+    switch (record.kind) {
+      case storage::WalRecord::Kind::kIngest:
+        TURBO_RETURN_IF_ERROR(CheckLog(record.log));
+        Ingest(record.log);
+        break;
+      case storage::WalRecord::Kind::kAdvance:
+        if (record.advance_to < now()) {
+          return Status::InvalidArgument(StrFormat(
+              "WAL segment %llu advances the clock back to %lld",
+              static_cast<unsigned long long>(seq),
+              static_cast<long long>(record.advance_to)));
+        }
+        AdvanceTo(record.advance_to);
+        break;
+    }
+    ++replay_records_;
+  }
+  records_replayed_ += replay_records_ - already;
+  wal_replayed_records_->Increment(replay_records_ - already);
+  return Status::OK();
+}
+
+uint64_t BnServer::NextWalSeq(const std::string& dir) const {
+  if (replay_seq_ == 0) return 1;
+  // Never append to a segment that holds replayed (possibly torn)
+  // records: start the one after it.
+  return std::filesystem::exists(storage::WalSegmentPath(dir, replay_seq_))
+             ? replay_seq_ + 1
+             : replay_seq_;
 }
 
 Status BnServer::AdoptWalDir(const std::string& dir) {
-  TURBO_CHECK_MSG(config_.wal_dir.empty(),
-                  "AdoptWalDir requires a WAL-less standby server");
+  TURBO_CHECK_MSG(config_.wal_dir.empty() && replay_seq_ != 0,
+                  "AdoptWalDir requires a WAL-less standby recovered from "
+                  "a WAL-backed directory");
   TURBO_CHECK_MSG(!dir.empty(), "AdoptWalDir needs a directory");
   std::filesystem::create_directories(dir);
-  // Open strictly after everything already in the directory, and after
-  // the checkpoint/delta covered ranges: a gap below the first
-  // surviving segment would fail the next Recover, and so would a new
-  // segment numbered inside the shipped history.
-  uint64_t next = 1;
-  const std::vector<uint64_t> seqs = storage::ListWalSegments(dir);
-  if (!seqs.empty()) next = seqs.back() + 1;
-  const std::vector<uint64_t> deltas = storage::ListCheckpointDeltas(dir);
-  if (!deltas.empty()) next = std::max(next, deltas.back());
-  if (std::filesystem::exists(CheckpointPath(dir))) {
-    auto reader_or = storage::CheckpointReader::Open(CheckpointPath(dir));
-    if (!reader_or.ok()) return reader_or.status();
-    next = std::max(next, reader_or.value().covered_seq());
-  }
+  // Owning the directory, replay applies whatever already arrived and
+  // seals a torn tail: the old writer is gone, so its bytes are ours.
   config_.wal_dir = dir;
-  recovered_or_started_ = true;
-  const Status s = OpenWalSegment(next);
+  Status s = ReplayWal(dir);
+  if (s.ok()) s = OpenWalSegment(NextWalSeq(dir));
   if (!s.ok()) config_.wal_dir.clear();
   return s;
 }

@@ -32,11 +32,13 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bn/builder.h"
 #include "bn/sampler.h"
 #include "bn/snapshot.h"
 #include "obs/metrics.h"
+#include "storage/checkpoint_io.h"
 #include "storage/log_store.h"
 #include "storage/wal.h"
 #include "util/mpsc_ring.h"
@@ -149,42 +151,57 @@ class BnServer {
   /// Restores state from `dir`: loads `checkpoint.bin` if present (its
   /// config fingerprint must match this server's config), applies the
   /// delta-checkpoint chain in sequence order (each link's parent must
-  /// match — a broken chain fails loudly), then replays the WAL tail —
-  /// ingests and clock advances re-execute through the deterministic
-  /// window-job engine, so the recovered server is bit-identical
-  /// (edges, weights, frontiers, snapshot version) to the writer at its
-  /// last durable point. A torn final record (crash mid-append)
-  /// truncates the replay cleanly and the torn tail is also truncated
-  /// off the segment file, so a later restart — by then the torn
-  /// segment is no longer the last one — still recovers; a torn
-  /// non-final segment is corruption and fails. Must be called on a
-  /// freshly constructed server, before any Ingest/AdvanceTo.
+  /// match — a broken chain fails loudly), then replays the WAL tail
+  /// through ReplayWal — ingests and clock advances re-execute through
+  /// the deterministic window-job engine, so the recovered server is
+  /// bit-identical (edges, weights, frontiers, snapshot version) to the
+  /// writer at its last durable point. With the WAL enabled, `dir` must
+  /// be wal_dir, a torn final record is truncated off the segment file
+  /// (so a later restart, when that segment is no longer the last, still
+  /// recovers), and new records go to a fresh segment. Must be called on
+  /// a freshly constructed server, before any Ingest/AdvanceTo.
   Status Recover(const std::string& dir);
 
-  /// Warm-standby replay: applies one shipped WAL record through the
-  /// normal ingest/advance paths without logging it again — the record
-  /// already lives in the primary's (shipped) WAL. Requires a WAL-less
-  /// server (wal_dir empty); the deterministic engine makes the
-  /// standby's state bit-identical to the primary's at the same record
-  /// count. Writer-side operation (see server::WarmStandby).
-  void ApplyReplicated(const storage::WalRecord& record);
+  /// The one WAL replay loop, run by Recover, by warm-standby catch-up
+  /// and by AdoptWalDir: applies every complete record of the segments
+  /// in `dir` past the replay cursor through the normal ingest/advance
+  /// paths, without logging them again, and moves the cursor. Fails
+  /// (Internal) when the first segment at or after the cursor is not
+  /// the cursor's own ("replication gap": records were lost), when
+  /// segments are not contiguous, when a torn segment is not the last
+  /// one, or when a segment shrank below its applied records; fails
+  /// with FailedPrecondition when a segment's header fingerprint is not
+  /// this server's config, and with InvalidArgument on a record this
+  /// server cannot apply. A torn final record is truncated off the file
+  /// only when the server owns `dir` (dir == wal_dir); otherwise replay
+  /// stops before it and a later call resumes there. Writer-side
+  /// operation.
+  Status ReplayWal(const std::string& dir);
 
-  /// Failover promote: turns a WAL-less standby into a durable primary
-  /// rooted at `dir` (the shipped replica directory). Opens a fresh WAL
-  /// segment after everything present in `dir` — existing segments,
-  /// delta chain, and the checkpoint's covered range — so a later
-  /// Recover of the directory replays the shipped history plus
-  /// everything written after the promote. The next Checkpoint() writes
-  /// a full base (the shipped chain's incremental trackers died with
-  /// the old primary).
+  /// Failover promote: turns a WAL-less standby, recovered from a
+  /// WAL-backed directory, into a durable primary rooted at `dir` (the
+  /// shipped replica directory). Takes ownership
+  /// of `dir`, replays what arrived past the cursor (sealing a torn
+  /// tail the dead writer left), and opens a fresh WAL segment after
+  /// it, so a later Recover of the directory replays the shipped
+  /// history plus everything written after the promote. The next
+  /// Checkpoint() writes a full base (the shipped chain's incremental
+  /// trackers died with the old primary).
   Status AdoptWalDir(const std::string& dir);
 
-  /// Replay position after a successful Recover(): the segment new
-  /// records continue in, and how many records of it were applied.
-  /// (0, 0) when nothing WAL-backed was recovered. WarmStandby uses
-  /// this to continue replay exactly where bootstrap stopped.
-  uint64_t wal_resume_seq() const { return wal_resume_seq_; }
-  size_t wal_resume_records() const { return wal_resume_records_; }
+  /// Replay cursor: the segment the next replayed record comes from and
+  /// how many of its records are applied. Recover sets it to the first
+  /// segment past the checkpoint chain, (0, 0) when the checkpoint was
+  /// written without a WAL, and replay advances it.
+  uint64_t replay_seq() const { return replay_seq_; }
+  size_t replay_records() const { return replay_records_; }
+  /// WAL records this server has replayed (Recover and later calls).
+  uint64_t records_replayed() const { return records_replayed_; }
+
+  /// InvalidArgument when Ingest would refuse `log` (uid outside the
+  /// node-id space, negative time). For logs that arrive from outside
+  /// the process: RPC bodies, checkpoint sections, WAL records.
+  Status CheckLog(const BehaviorLog& log) const;
 
   /// Samples the computation subgraph for `uid` from the last published
   /// snapshot. Lock-free; callable from any thread concurrently with
@@ -234,20 +251,25 @@ class BnServer {
   /// Moves the builder's accumulated churn into the publish- and
   /// checkpoint-scoped churn sets (called after every mutation batch).
   void AccumulateChurn();
-  /// Shared meta/server section encoders (full and delta checkpoints
-  /// carry identical copies of both).
-  void BuildMetaSection(storage::BinaryWriter* w) const;
-  void BuildServerSection(storage::BinaryWriter* w,
-                          uint64_t next_seq) const;
-  /// Validates a checkpoint's meta section against this config.
-  Status CheckMeta(const storage::CheckpointReader& reader) const;
-  /// Decodes a server section into the live members; returns the replay
-  /// start sequence through `start_seq`.
-  Status DecodeServerSection(std::string_view payload,
-                             uint64_t* start_seq);
-  /// Applies one delta-checkpoint link over the current state.
-  Status ApplyCheckpointDelta(const storage::CheckpointReader& reader,
-                              uint64_t* start_seq);
+  /// This config's fingerprint: the checkpoint meta section, also
+  /// written into every WAL segment header.
+  std::string Fingerprint() const;
+  /// Validates a meta section or WAL header fingerprint against
+  /// Fingerprint(): InvalidArgument for an unknown state version,
+  /// FailedPrecondition for a different config.
+  Status CheckFingerprint(std::string_view fingerprint) const;
+  /// Assembles the seven sections of a full checkpoint or of a delta
+  /// over the last checkpoint (the chain trackers below).
+  storage::CheckpointWriter BuildCheckpoint(storage::CheckpointKind kind,
+                                            uint64_t covered_seq) const;
+  /// Applies one full or delta link over the current state; returns the
+  /// link's WAL replay start through `start_seq`.
+  Status ApplyCheckpoint(const storage::CheckpointReader& reader,
+                         uint64_t* start_seq);
+  /// ReplayWal's body for one segment; `last` = no successor exists.
+  Status ReplaySegment(const std::string& dir, uint64_t seq, bool last);
+  /// The segment new records go to after a replay of `dir`.
+  uint64_t NextWalSeq(const std::string& dir) const;
   /// Resets the delta-chain trackers to "parent = the checkpoint whose
   /// state the server currently holds".
   void ResetChainTrackers(uint64_t covered_seq);
@@ -317,7 +339,8 @@ class BnServer {
   size_t edges_expired_ = 0;
   /// Current WAL segment (closed when the WAL is disabled).
   storage::WalWriter wal_writer_;
-  /// True while Recover() re-applies WAL records; suppresses re-logging.
+  /// True while ReplayWal() re-applies WAL records; suppresses
+  /// re-logging.
   bool wal_replaying_ = false;
   /// Non-empty once a WAL segment rotation failed: the writer is closed
   /// while durable state exists, so later writes must fail-stop with
@@ -326,9 +349,10 @@ class BnServer {
   /// True once Recover() or the first mutation ran; guards the
   /// "Recover before first write" contract.
   bool recovered_or_started_ = false;
-  /// Replay position captured by Recover() (see wal_resume_seq()).
-  uint64_t wal_resume_seq_ = 0;
-  size_t wal_resume_records_ = 0;
+  /// Replay cursor (see replay_seq()) and records replayed in total.
+  uint64_t replay_seq_ = 0;
+  size_t replay_records_ = 0;
+  uint64_t records_replayed_ = 0;
 
   // --- Incremental publish + delta checkpoint state -------------------
   /// Nodes whose adjacency changed since the last snapshot publish; the

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <utility>
-#include <vector>
 
 #include "storage/wal.h"
 #include "util/string_util.h"
@@ -43,13 +42,19 @@ uint64_t WarmStandby::records_applied_total() const {
 Status WarmStandby::CatchUp() {
   TURBO_CHECK_MSG(!promoted_, "CatchUp after Promote");
   Stopwatch sw;
+  Status s;
+  uint64_t before = 0;
   if (server_ == nullptr) {
+    // Bootstrap's Recover replays everything shipped so far.
     TURBO_RETURN_IF_ERROR(Bootstrap());
     if (server_ == nullptr) return Status::OK();  // still waiting
+  } else {
+    before = server_->records_replayed();
+    s = server_->ReplayWal(config_.replica_dir);
   }
-  const Status s = ApplyShipped();
-  applied_seq_g_->Set(static_cast<double>(applied_seq_));
-  applied_records_g_->Set(static_cast<double>(applied_records_));
+  records_total_->Increment(server_->records_replayed() - before);
+  applied_seq_g_->Set(static_cast<double>(applied_seq()));
+  applied_records_g_->Set(static_cast<double>(applied_records()));
   catchup_ms_->Observe(sw.ElapsedMillis());
   return s;
 }
@@ -57,8 +62,6 @@ Status WarmStandby::CatchUp() {
 Status WarmStandby::Rebootstrap() {
   TURBO_CHECK_MSG(!promoted_, "Rebootstrap after Promote");
   server_.reset();
-  applied_seq_ = 0;
-  applied_records_ = 0;
   return CatchUp();
 }
 
@@ -69,77 +72,16 @@ Status WarmStandby::Bootstrap() {
   if (!have_ckpt && !have_wal) return Status::OK();  // nothing shipped
   auto server = std::make_unique<BnServer>(config_.server);
   TURBO_RETURN_IF_ERROR(server->Recover(dir));
-  // With an empty wal_dir, Recover applied the shipped history without
-  // truncating torn tails or opening a writer — exactly the standby
-  // posture — and left the resume cursor at the last applied record.
-  if (server->wal_resume_seq() == 0) {
+  // With an empty wal_dir, Recover replayed the shipped history without
+  // truncating a torn tail or opening a writer — exactly the standby
+  // posture — and left the replay cursor after the last applied record.
+  if (server->replay_seq() == 0) {
     return Status::FailedPrecondition(
         "replica checkpoint was written without a WAL — nothing can be "
         "shipped after it");
   }
-  applied_seq_ = server->wal_resume_seq();
-  applied_records_ = server->wal_resume_records();
-  records_total_->Increment(server->wal_resume_records());
   server_ = std::move(server);
   bootstraps_->Increment();
-  return Status::OK();
-}
-
-Status WarmStandby::ApplyShipped() {
-  const std::string& dir = config_.replica_dir;
-  std::vector<uint64_t> seqs = storage::ListWalSegments(dir);
-  std::erase_if(seqs, [&](uint64_t s) { return s < applied_seq_; });
-  if (seqs.empty()) return Status::OK();
-  if (seqs.front() != applied_seq_) {
-    // The segment we were consuming vanished without a successor we
-    // already reached — records between it and seqs.front() are gone
-    // (checkpoint rotation outran this standby, or the ship lost
-    // files). Rebootstrap() recovers from the shipped checkpoint.
-    return Status::Internal(StrFormat(
-        "replication gap: expected segment %llu, replica starts at %llu",
-        static_cast<unsigned long long>(applied_seq_),
-        static_cast<unsigned long long>(seqs.front())));
-  }
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    if (i > 0 && seqs[i] != seqs[i - 1] + 1) {
-      return Status::Internal(StrFormat(
-          "replication gap between segments %llu and %llu",
-          static_cast<unsigned long long>(seqs[i - 1]),
-          static_cast<unsigned long long>(seqs[i])));
-    }
-    auto segment_or =
-        storage::ReadWalSegment(storage::WalSegmentPath(dir, seqs[i]));
-    if (!segment_or.ok()) return segment_or.status();
-    const storage::WalSegment& segment = segment_or.value();
-    const size_t already =
-        seqs[i] == applied_seq_ ? applied_records_ : 0;
-    if (segment.records.size() < already) {
-      return Status::Internal(StrFormat(
-          "replica segment %llu shrank below the applied prefix "
-          "(%zu < %zu records)",
-          static_cast<unsigned long long>(seqs[i]),
-          segment.records.size(), already));
-    }
-    if (segment.torn && i + 1 < seqs.size()) {
-      // A successor exists, so the primary sealed this segment — its
-      // shipped copy ending mid-record is corruption, not a ship race.
-      return Status::Internal(StrFormat(
-          "replica segment %llu has a torn tail but is not the last",
-          static_cast<unsigned long long>(seqs[i])));
-    }
-    for (size_t r = already; r < segment.records.size(); ++r) {
-      server_->ApplyReplicated(segment.records[r]);
-    }
-    records_total_->Increment(segment.records.size() - already);
-    applied_seq_ = seqs[i];
-    applied_records_ = segment.records.size();
-    if (segment.torn) {
-      // Mid-ship torn tail: wait for the next ship to complete the
-      // record. Never truncate — the primary may still be writing the
-      // source bytes.
-      break;
-    }
-  }
   return Status::OK();
 }
 
@@ -149,21 +91,11 @@ Result<BnServer*> WarmStandby::Promote() {
     return Status::FailedPrecondition(
         "nothing was shipped — cannot promote an empty standby");
   }
-  // Apply whatever already arrived, then seal: the primary is declared
-  // dead, so a torn tail is final and its bytes are ours to drop.
-  TURBO_RETURN_IF_ERROR(ApplyShipped());
-  const std::string& dir = config_.replica_dir;
-  const std::vector<uint64_t> seqs = storage::ListWalSegments(dir);
-  if (!seqs.empty()) {
-    const std::string last = storage::WalSegmentPath(dir, seqs.back());
-    auto segment_or = storage::ReadWalSegment(last);
-    if (!segment_or.ok()) return segment_or.status();
-    if (segment_or.value().torn) {
-      TURBO_RETURN_IF_ERROR(storage::TruncateWalSegment(
-          last, segment_or.value().valid_bytes));
-    }
-  }
-  TURBO_RETURN_IF_ERROR(server_->AdoptWalDir(dir));
+  // Adopting the replica applies whatever already arrived and seals a
+  // torn tail: the primary is declared dead, so its bytes are ours.
+  const uint64_t before = server_->records_replayed();
+  TURBO_RETURN_IF_ERROR(server_->AdoptWalDir(config_.replica_dir));
+  records_total_->Increment(server_->records_replayed() - before);
   promoted_ = true;
   return server_.get();
 }

@@ -6,26 +6,26 @@
 // State machine:
 //   waiting    — the replica directory has no shipped state yet.
 //   replaying  — Bootstrap ran Recover() over the shipped checkpoint +
-//                delta chain + WAL prefix; each CatchUp() applies the
-//                records shipped since, through the same deterministic
-//                engine (BnServer::ApplyReplicated), so the standby is
+//                delta chain + WAL prefix; each CatchUp() runs the
+//                server's own WAL replay loop (BnServer::ReplayWal) over
+//                the records shipped since, so the standby is
 //                bit-identical to the primary at its applied record
 //                count. Lock-free reads (sampling, snapshots) are
 //                served the whole time.
-//   promoted   — Promote() sealed the replica (a torn tail left by the
-//                dead primary is truncated to its valid prefix — the
-//                standby owns those bytes now), adopted the replica
-//                directory as the live WAL, and handed out the server.
-//                New writes are durable; the next Checkpoint() writes a
-//                full base.
+//   promoted   — Promote() handed the replica directory to the server
+//                (BnServer::AdoptWalDir: the last shipped records are
+//                applied, a torn tail left by the dead primary is
+//                truncated to its valid prefix, and a fresh segment
+//                opens) and handed out the server. New writes are
+//                durable; the next Checkpoint() writes a full base.
 //
 // Replay edge cases (tests/storage/wal_ship_test.cc,
 // tests/server/warm_standby_test.cc):
 //  * Torn final segment mid-ship: the valid prefix is applied and the
 //    standby *waits* — the next ship completes the record. Nothing is
 //    truncated while the primary may still be writing.
-//  * Re-shipped duplicate segment: per-segment applied-record counts
-//    make reapplication a no-op.
+//  * Re-shipped duplicate segment: the replay cursor's applied-record
+//    count makes reapplication a no-op.
 //  * Sequence gap: records are lost (or the standby fell behind a
 //    checkpoint rotation) — CatchUp fails loudly; Rebootstrap() starts
 //    over from the shipped checkpoint.
@@ -74,17 +74,22 @@ class WarmStandby {
   /// checkpoint rotation).
   Status Rebootstrap();
 
-  /// Seals the replica (truncating a torn tail left by the dead
-  /// primary), adopts replica_dir as the live WAL, and returns the
-  /// now-primary server. The WarmStandby keeps ownership; CatchUp and
-  /// Rebootstrap refuse to run after this.
+  /// Adopts replica_dir as the live WAL (applying the last shipped
+  /// records and truncating a torn tail left by the dead primary) and
+  /// returns the now-primary server. The WarmStandby keeps ownership;
+  /// CatchUp and Rebootstrap refuse to run after this.
   Result<BnServer*> Promote();
 
   bool bootstrapped() const { return server_ != nullptr; }
   bool promoted() const { return promoted_; }
-  /// Segment currently being consumed and records applied from it.
-  uint64_t applied_seq() const { return applied_seq_; }
-  size_t applied_records() const { return applied_records_; }
+  /// Segment currently being consumed and records applied from it: the
+  /// server's replay cursor, (0, 0) while waiting.
+  uint64_t applied_seq() const {
+    return server_ != nullptr ? server_->replay_seq() : 0;
+  }
+  size_t applied_records() const {
+    return server_ != nullptr ? server_->replay_records() : 0;
+  }
   /// Total records applied since construction (bootstrap + catch-up).
   uint64_t records_applied_total() const;
 
@@ -97,7 +102,6 @@ class WarmStandby {
 
  private:
   Status Bootstrap();
-  Status ApplyShipped();
 
   WarmStandbyConfig config_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
@@ -109,9 +113,6 @@ class WarmStandby {
   obs::Histogram* catchup_ms_ = nullptr;
 
   std::unique_ptr<BnServer> server_;
-  /// Replay cursor: segment being consumed / records applied from it.
-  uint64_t applied_seq_ = 0;
-  size_t applied_records_ = 0;
   bool promoted_ = false;
 };
 

@@ -80,6 +80,48 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+void EncodeBehaviorLog(const BehaviorLog& log, BinaryWriter* w) {
+  w->U32(log.uid);
+  w->U8(static_cast<uint8_t>(log.type));
+  w->U64(log.value);
+  w->I64(log.time);
+}
+
+Status DecodeBehaviorLog(BinaryReader* r, BehaviorLog* log) {
+  log->uid = r->U32();
+  const uint8_t type = r->U8();
+  log->value = r->U64();
+  log->time = r->I64();
+  if (!r->ok()) return Status::InvalidArgument("truncated behavior log");
+  if (type >= kNumBehaviorTypes) {
+    return Status::InvalidArgument(
+        StrFormat("behavior type %u out of range", type));
+  }
+  log->type = static_cast<BehaviorType>(type);
+  return Status::OK();
+}
+
+void EncodeLogBatch(const BehaviorLogList& logs, BinaryWriter* w) {
+  w->U64(logs.size());
+  for (const BehaviorLog& log : logs) EncodeBehaviorLog(log, w);
+}
+
+Status DecodeLogBatch(BinaryReader* r, BehaviorLogList* logs) {
+  const uint64_t n = r->U64();
+  // Bound the count by the bytes present before reserving for it.
+  if (!r->ok() || n > r->remaining() / kBehaviorLogBytes) {
+    return Status::InvalidArgument("truncated log batch");
+  }
+  logs->clear();
+  logs->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    BehaviorLog log;
+    TURBO_RETURN_IF_ERROR(DecodeBehaviorLog(r, &log));
+    logs->push_back(log);
+  }
+  return Status::OK();
+}
+
 void CheckpointWriter::AddSection(const std::string& name,
                                   const BinaryWriter& payload) {
   TURBO_CHECK_MSG(!sections_.contains(name),

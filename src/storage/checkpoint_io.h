@@ -32,7 +32,9 @@
 // BinaryWriter/BinaryReader are the primitive encode/decode layer shared
 // by section payloads and the WAL record format (wal.h). BinaryReader is
 // sticky-failure: reads past the end return zeros and latch !ok(), so
-// deserializers can decode a whole struct and check ok() once.
+// deserializers can decode a whole struct and check ok() once. On top
+// of them sits the one binary codec of a BehaviorLog, shared by the WAL
+// record, the logs_delta checkpoint section and the wire (net/wire.h).
 #pragma once
 
 #include <cstdint>
@@ -42,6 +44,7 @@
 #include <string>
 #include <string_view>
 
+#include "storage/behavior_log.h"
 #include "util/status.h"
 
 namespace turbo::storage {
@@ -159,6 +162,20 @@ class BinaryReader {
   size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// Bytes of one encoded BehaviorLog: u32 uid, u8 type, u64 value,
+/// i64 time.
+inline constexpr size_t kBehaviorLogBytes = 21;
+
+void EncodeBehaviorLog(const BehaviorLog& log, BinaryWriter* w);
+/// Fails with InvalidArgument on truncation or on a type byte that
+/// names no BehaviorType. Range checks against a server's config (uid,
+/// time) are the caller's.
+Status DecodeBehaviorLog(BinaryReader* r, BehaviorLog* log);
+
+/// u64 count, then that many logs.
+void EncodeLogBatch(const BehaviorLogList& logs, BinaryWriter* w);
+Status DecodeLogBatch(BinaryReader* r, BehaviorLogList* logs);
 
 /// Position of a checkpoint file in the base + delta chain.
 enum class CheckpointKind : uint8_t { kFull = 0, kDelta = 1 };

@@ -217,6 +217,8 @@ Status EdgeStore::Deserialize(BinaryReader* r, UserId num_users) {
       ++edge_count_[t];
     }
   }
+  // A section cut at a type boundary reads its missing counts as 0.
+  if (!r->ok()) return Status::InvalidArgument("truncated edge section");
   return Status::OK();
 }
 

@@ -274,6 +274,9 @@ Status LogStore::Deserialize(BinaryReader* r) {
     idx.logs.resize(count);
     const char* p = r->Take(count * kUserRowBytes);
     for (uint64_t i = 0; i < count; ++i, p += kUserRowBytes) {
+      if (static_cast<uint8_t>(p[0]) >= kNumBehaviorTypes) {
+        return fail("bad behavior type");
+      }
       BehaviorLog& log = idx.logs[i];
       log.uid = uid;
       log.type = static_cast<BehaviorType>(static_cast<uint8_t>(p[0]));
@@ -293,13 +296,15 @@ Status LogStore::Deserialize(BinaryReader* r) {
   uint64_t obs_seen = 0;
   for (uint64_t k = 0; k < num_keys; ++k) {
     ValueKey key;
-    key.type = static_cast<BehaviorType>(r->U8());
+    const uint8_t type = r->U8();
+    key.type = static_cast<BehaviorType>(type);
     key.value = r->U64();
     const uint8_t sorted = r->U8();
     const uint64_t count = r->U64();
     if (!r->ok() || count > r->remaining() / kObsRowBytes) {
       return fail("truncated observation run");
     }
+    if (type >= kNumBehaviorTypes) return fail("bad behavior type");
     ValueIndex& idx = by_value_[key];
     if (!idx.obs.empty()) return fail("duplicate value-key run");
     idx.sorted = sorted != 0;
@@ -331,6 +336,9 @@ Status LogStore::Deserialize(BinaryReader* r) {
     bucket.reserve(count);
     const char* p = r->Take(count * kKeyRowBytes);
     for (uint64_t i = 0; i < count; ++i, p += kKeyRowBytes) {
+      if (static_cast<uint8_t>(p[0]) >= kNumBehaviorTypes) {
+        return fail("bad behavior type");
+      }
       ValueKey key;
       key.type = static_cast<BehaviorType>(static_cast<uint8_t>(p[0]));
       std::memcpy(&key.value, p + 1, sizeof(key.value));

@@ -15,16 +15,14 @@ namespace turbo::storage {
 namespace {
 
 constexpr char kWalMagic[8] = {'T', 'U', 'R', 'B', 'O', 'W', 'A', 'L'};
-constexpr uint32_t kWalVersion = 1;
+constexpr uint32_t kWalVersion = 2;
 
 /// Payload bytes per record kind (fixed-width framing keeps the reader
 /// free of length fields that could themselves be torn).
 size_t PayloadBytes(WalRecord::Kind kind) {
   switch (kind) {
     case WalRecord::Kind::kIngest:
-      // u32 uid, u8 type, u64 value, i64 time
-      return sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint64_t) +
-             sizeof(int64_t);
+      return kBehaviorLogBytes;
     case WalRecord::Kind::kAdvance:
       return sizeof(int64_t);
   }
@@ -36,10 +34,7 @@ void EncodeRecord(const WalRecord& record, BinaryWriter* w) {
   body.U8(static_cast<uint8_t>(record.kind));
   switch (record.kind) {
     case WalRecord::Kind::kIngest:
-      body.U32(record.log.uid);
-      body.U8(static_cast<uint8_t>(record.log.type));
-      body.U64(record.log.value);
-      body.I64(record.log.time);
+      EncodeBehaviorLog(record.log, &body);
       break;
     case WalRecord::Kind::kAdvance:
       body.I64(record.advance_to);
@@ -104,7 +99,8 @@ std::vector<uint64_t> ListCheckpointDeltas(const std::string& dir) {
 WalWriter::~WalWriter() { Close(); }
 
 Status WalWriter::Open(const std::string& dir, uint64_t seq,
-                       const WalOptions& options) {
+                       const WalOptions& options,
+                       std::string_view fingerprint) {
   TURBO_CHECK_MSG(fd_ < 0, "WalWriter already open on segment " << seq_);
   const std::string path = WalSegmentPath(dir, seq);
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -119,6 +115,7 @@ Status WalWriter::Open(const std::string& dir, uint64_t seq,
   header.Bytes(kWalMagic, sizeof(kWalMagic));
   header.U32(kWalVersion);
   header.U64(seq);
+  header.String(fingerprint);
   TURBO_RETURN_IF_ERROR(
       WriteRaw(header.data().data(), header.size()));
   bytes_written_ += header.size();
@@ -199,41 +196,45 @@ Result<WalSegment> ReadWalSegment(const std::string& path) {
   }
   WalSegment segment;
   segment.seq = r.U64();
+  segment.fingerprint = r.String();
   segment.bytes = file.size();
   if (!r.ok()) {
     return Status::InvalidArgument(path + ": truncated WAL header");
   }
   segment.valid_bytes = file.size() - r.remaining();
   while (r.remaining() > 0) {
-    // Decode one record; any shortfall or CRC mismatch is a torn tail.
+    // A record cut short or failing its CRC is a torn tail.
     const size_t record_start = file.size() - r.remaining();
-    const uint8_t kind_byte = r.U8();
-    const auto kind = static_cast<WalRecord::Kind>(kind_byte);
+    const auto kind = static_cast<WalRecord::Kind>(r.U8());
     const size_t payload = PayloadBytes(kind);
-    if (payload == 0 ||
-        r.remaining() < payload + sizeof(uint32_t)) {
+    if (payload == 0 || r.remaining() < payload + sizeof(uint32_t)) {
       segment.torn = true;
       break;
     }
+    BinaryReader body(std::string_view(r.Take(payload), payload));
+    const uint32_t crc = r.U32();
+    if (Crc32(file.data() + record_start, sizeof(uint8_t) + payload) !=
+        crc) {
+      segment.torn = true;
+      break;
+    }
+    // Past the CRC the bytes are what the writer wrote, so a record
+    // that does not decode is corruption, not a crash artefact.
     WalRecord record;
     record.kind = kind;
     switch (kind) {
-      case WalRecord::Kind::kIngest:
-        record.log.uid = r.U32();
-        record.log.type = static_cast<BehaviorType>(r.U8());
-        record.log.value = r.U64();
-        record.log.time = r.I64();
+      case WalRecord::Kind::kIngest: {
+        const Status s = DecodeBehaviorLog(&body, &record.log);
+        if (!s.ok()) {
+          return Status::InvalidArgument(StrFormat(
+              "%s: record %zu: %s", path.c_str(), segment.records.size(),
+              s.message().c_str()));
+        }
         break;
+      }
       case WalRecord::Kind::kAdvance:
-        record.advance_to = r.I64();
+        record.advance_to = body.I64();
         break;
-    }
-    const uint32_t crc = r.U32();
-    const size_t body = sizeof(uint8_t) + payload;
-    if (!r.ok() ||
-        Crc32(file.data() + record_start, body) != crc) {
-      segment.torn = true;
-      break;
     }
     segment.records.push_back(record);
     segment.valid_bytes = file.size() - r.remaining();

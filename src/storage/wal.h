@@ -4,16 +4,20 @@
 // The WAL is a sequence of numbered segment files `wal-<seq>.log` in the
 // server's durability directory. Each segment starts with a fixed header
 //
-//   "TURBOWAL"    8-byte magic
-//   u32 version   currently 1
-//   u64 seq       segment sequence number
+//   "TURBOWAL"        8-byte magic
+//   u32 version       currently 2
+//   u64 seq           segment sequence number
+//   u64 len, bytes    config fingerprint of the writer (BnServer writes
+//                     its checkpoint meta section; replay refuses a
+//                     segment whose fingerprint is not its own)
 //
 // followed by append-only records, each framed as
 //
 //   u8 kind | fixed-width payload | u32 crc32(kind + payload)
 //
-// Two record kinds exist: kIngest carries one behavior log [uid, type,
-// value, ts]; kAdvance carries a clock-advance target. Replaying the
+// Two record kinds exist: kIngest carries one behavior log in the
+// storage codec (checkpoint_io.h: uid, type, value, ts); kAdvance
+// carries a clock-advance target. Replaying the
 // record stream through BnServer's deterministic ingest + window-job
 // engine reproduces the exact in-memory state of the process that wrote
 // it (bit-identical weights and frontiers), which is what
@@ -24,13 +28,15 @@
 // whether a flush also reaches the platter. Readers validate the header
 // and every record CRC; a truncated or CRC-broken record — the signature
 // of a torn write at crash time — cleanly ends the segment (`torn` is
-// reported, the valid prefix is kept). Any record *after* a broken one
-// would mean corruption, not a crash, so replay layers treat a torn
-// non-final segment as an error.
+// reported, the valid prefix is kept). A CRC-valid record that does not
+// decode (a behavior type out of range) is corruption and fails the
+// read. Any record *after* a broken one would mean corruption, not a
+// crash, so replay layers treat a torn non-final segment as an error.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/behavior_log.h"
@@ -95,9 +101,10 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Creates (truncates) segment `seq` in `dir` and writes its header.
+  /// Creates (truncates) segment `seq` in `dir` and writes its header,
+  /// which carries `fingerprint` verbatim.
   Status Open(const std::string& dir, uint64_t seq,
-              const WalOptions& options);
+              const WalOptions& options, std::string_view fingerprint = {});
 
   /// Buffers one record, flushing per the group-commit thresholds.
   Status Append(const WalRecord& record);
@@ -130,6 +137,8 @@ class WalWriter {
 /// torn (truncated or CRC-broken mid-record).
 struct WalSegment {
   uint64_t seq = 0;
+  /// The header's config fingerprint, as the writer passed it.
+  std::string fingerprint;
   std::vector<WalRecord> records;
   bool torn = false;
   size_t bytes = 0;

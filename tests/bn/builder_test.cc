@@ -242,5 +242,42 @@ TEST(BnBuilderDeathTest, RejectsUnsortedWindows) {
   EXPECT_DEATH(BnBuilder(cfg, &edges), "CHECK failed");
 }
 
+// The bucket-cache section refuses a key whose type byte names no
+// BehaviorType, and leaves the cache empty.
+TEST(BnBuilderTest, DeserializeCacheDeltaRejectsOutOfRangeType) {
+  // One epoch ending at 1h, one key with users {1, 2}.
+  const auto section = [](uint8_t type) {
+    storage::BinaryWriter w;
+    w.U64(1);
+    w.I64(kHour);
+    w.U64(1);
+    w.U8(type);
+    w.U64(42);
+    w.U64(2);
+    w.U32(1);
+    w.U32(2);
+    return w.data();
+  };
+  BnConfig cfg;
+  cfg.windows = {kHour, kDay};
+  EdgeStore edges;
+  {
+    BnBuilder builder(cfg, &edges);
+    const std::string bytes = section(static_cast<uint8_t>(kIp));
+    storage::BinaryReader r(bytes);
+    ASSERT_TRUE(builder.DeserializeCacheDelta(&r).ok());
+    EXPECT_EQ(builder.CachedBucketEpochs(), 1u);
+  }
+  for (const uint8_t type : {uint8_t{10}, uint8_t{255}}) {
+    BnBuilder builder(cfg, &edges);
+    const std::string bytes = section(type);
+    storage::BinaryReader r(bytes);
+    EXPECT_EQ(builder.DeserializeCacheDelta(&r).code(),
+              StatusCode::kInvalidArgument)
+        << "type " << int{type};
+    EXPECT_EQ(builder.CachedBucketEpochs(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace turbo::bn

@@ -90,7 +90,7 @@ struct Rig {
 
   Status IngestOne(const BehaviorLog& log) {
     storage::BinaryWriter w;
-    EncodeBehaviorLog(log, &w);
+    storage::EncodeBehaviorLog(log, &w);
     return Call(ShardMethod::kIngest, w.data()).status();
   }
 
@@ -133,9 +133,9 @@ TEST(ShardServiceTest, IngestBatchWithOneBadLogAppliesNone) {
   Rig rig;
   const size_t logs = rig.bn->logs().size();
   storage::BinaryWriter w;
-  EncodeLogBatch({Rig::Log(3, 42, 70 * kMinute), Rig::Log(kUsers + 5, 42,
-                                                          71 * kMinute)},
-                 &w);
+  storage::EncodeLogBatch(
+      {Rig::Log(3, 42, 70 * kMinute), Rig::Log(kUsers + 5, 42, 71 * kMinute)},
+      &w);
   ExpectCode(rig.Call(ShardMethod::kIngestBatch, w.data()).status(),
              StatusCode::kInvalidArgument);
   EXPECT_EQ(rig.bn->logs().size(), logs);
@@ -147,7 +147,7 @@ TEST(ShardServiceTest, OfferIngestRejectsBadLogBeforeItIsQueued) {
   for (const BehaviorLog& bad :
        {Rig::Log(kUsers, 42, 70 * kMinute), Rig::Log(1, 42, -1)}) {
     storage::BinaryWriter w;
-    EncodeBehaviorLog(bad, &w);
+    storage::EncodeBehaviorLog(bad, &w);
     ExpectCode(rig.Call(ShardMethod::kOfferIngest, w.data()).status(),
                StatusCode::kInvalidArgument);
   }
@@ -183,7 +183,7 @@ TEST(ShardServiceTest, SampleAndPredictRejectUidOutOfRange) {
 TEST(ShardServiceTest, QueueMethodsNeedAnIngestQueue) {
   Rig rig(/*ingest_queue_capacity=*/0);
   storage::BinaryWriter offer;
-  EncodeBehaviorLog(Rig::Log(1, 42, 70 * kMinute), &offer);
+  storage::EncodeBehaviorLog(Rig::Log(1, 42, 70 * kMinute), &offer);
   ExpectCode(rig.Call(ShardMethod::kOfferIngest, offer.data()).status(),
              StatusCode::kFailedPrecondition);
   storage::BinaryWriter drain;

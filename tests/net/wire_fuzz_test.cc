@@ -1,6 +1,8 @@
-// Seeded fuzz of the four wire decoders (src/net/wire.cc). Every input
-// must either decode and re-encode to exactly its own bytes, or fail
-// with InvalidArgument: a decoder may never crash, accept trailing
+// Seeded fuzz of the four wire decoders: the behavior-log and log-batch
+// codec the wire shares with the WAL (src/storage/checkpoint_io.cc), and
+// the subgraph and prediction-response decoders (src/net/wire.cc). Every
+// input must either decode and re-encode to exactly its own bytes, or
+// fail with InvalidArgument: a decoder may never crash, accept trailing
 // bytes, or accept a body that does not round-trip. Inputs are valid
 // encodings of random messages, their truncations, byte flips, random
 // appended tails, and random bodies. Failures print the seed and trial.
@@ -113,8 +115,8 @@ double RandomDouble(Rng* rng) {
 }
 
 TEST(WireFuzzTest, BehaviorLog) {
-  Fuzz<BehaviorLog>("behavior_log", RandomLog, DecodeBehaviorLog,
-                    EncodeBehaviorLog);
+  Fuzz<BehaviorLog>("behavior_log", RandomLog, storage::DecodeBehaviorLog,
+                    storage::EncodeBehaviorLog);
 }
 
 TEST(WireFuzzTest, LogBatch) {
@@ -125,7 +127,7 @@ TEST(WireFuzzTest, LogBatch) {
         for (auto& log : logs) log = RandomLog(rng);
         return logs;
       },
-      DecodeLogBatch, EncodeLogBatch);
+      storage::DecodeLogBatch, storage::EncodeLogBatch);
 }
 
 TEST(WireFuzzTest, Subgraph) {

@@ -1,4 +1,4 @@
-// Kill-a-shard chaos drill (the CI `recovery` job): a child process
+// Kill-a-shard chaos drill (runs in the CI `build-test` job): a child
 // drives a 2-shard BnCluster under open-loop load — admission-
 // controlled OfferIngest, periodic drains and epoch barriers, WAL with
 // per-append fsync — while the parent continuously ships each shard's

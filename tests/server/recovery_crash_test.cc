@@ -1,6 +1,6 @@
-// SIGKILL fault injection (the CI `recovery` job): a child process
-// ingests through the WAL with per-append fsync, the parent kills it
-// mid-stream with no chance to clean up, then recovers from the
+// SIGKILL fault injection (runs in the CI `build-test` job): a child
+// process ingests through the WAL with per-append fsync, the parent
+// kills it mid-stream with no chance to clean up, then recovers from the
 // directory and checks the recovered state against a clean server fed
 // the independently decoded durable WAL prefix.
 #include <signal.h>

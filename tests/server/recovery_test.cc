@@ -320,57 +320,155 @@ TEST(RecoveryTest, OutOfRangeEdgeEndpointInCheckpointIsRejected) {
 }
 
 TEST(RecoveryTest, ConfigMismatchIsRejected) {
-  const std::string dir = FreshDir("rec_cfg");
-  BnServer writer(SmallConfig(dir));
-  writer.IngestBatch(Traffic(0, kHour, 20));
-  writer.AdvanceTo(kHour);
-  ASSERT_TRUE(writer.Checkpoint(dir).ok());
+  // With a checkpoint its meta section pins the config; before the
+  // first checkpoint every WAL segment header carries the same bytes.
+  for (const bool checkpoint : {true, false}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint" : "WAL only");
+    const std::string dir = FreshDir(checkpoint ? "rec_cfg" : "rec_cfg_wal");
+    BnServer writer(SmallConfig(dir));
+    writer.IngestBatch(Traffic(0, kHour, 20));
+    writer.AdvanceTo(kHour);
+    if (checkpoint) ASSERT_TRUE(writer.Checkpoint(dir).ok());
 
-  BnServerConfig other = SmallConfig(dir);
-  other.bn.windows = {kHour, 2 * kDay};  // different engine schedule
-  BnServer recovered(other);
-  const Status s = recovered.Recover(dir);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(RecoveryTest, ShardTopologyMismatchIsRejected) {
-  // The shard topology is part of the checkpoint's config fingerprint:
-  // state written under one cluster layout must not be recovered into
-  // another, which would silently build a skewed graph (each shard's
-  // window-job key filter depends on count + seeds).
-  const std::string dir = FreshDir("rec_topo");
-  BnServerConfig writer_cfg = SmallConfig(dir);
-  writer_cfg.bn.topology.shard_count = 2;
-  writer_cfg.bn.topology.shard_index = 1;
-  BnServer writer(writer_cfg);
-  writer.IngestBatch(Traffic(0, kHour, 20));
-  writer.AdvanceTo(kHour);
-  ASSERT_TRUE(writer.Checkpoint(dir).ok());
-
-  const auto expect_rejected = [&](BnServerConfig cfg) {
-    BnServer recovered(std::move(cfg));
+    BnServerConfig other = SmallConfig(dir);
+    other.bn.windows = {kHour, 2 * kDay};  // different engine schedule
+    BnServer recovered(other);
     const Status s = recovered.Recover(dir);
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  };
-  BnServerConfig wrong_count = writer_cfg;
-  wrong_count.bn.topology.shard_count = 4;
-  expect_rejected(wrong_count);
-  BnServerConfig wrong_index = writer_cfg;
-  wrong_index.bn.topology.shard_index = 0;
-  expect_rejected(wrong_index);
-  BnServerConfig wrong_user_seed = writer_cfg;
-  wrong_user_seed.bn.topology.user_seed ^= 1;
-  expect_rejected(wrong_user_seed);
-  BnServerConfig wrong_value_seed = writer_cfg;
-  wrong_value_seed.bn.topology.value_seed ^= 1;
-  expect_rejected(wrong_value_seed);
+  }
+}
 
-  // The matching layout still recovers.
-  BnServer recovered(writer_cfg);
-  ASSERT_TRUE(recovered.Recover(dir).ok());
-  EXPECT_EQ(writer.FirstDifference(recovered), "");
+TEST(RecoveryTest, ShardTopologyMismatchIsRejected) {
+  // The shard topology is part of the config fingerprint (checkpoint
+  // meta section and WAL segment header): state written under one
+  // cluster layout must not be recovered into another, which would
+  // silently build a skewed graph (each shard's window-job key filter
+  // depends on count + seeds).
+  for (const bool checkpoint : {true, false}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint" : "WAL only");
+    const std::string dir =
+        FreshDir(checkpoint ? "rec_topo" : "rec_topo_wal");
+    BnServerConfig writer_cfg = SmallConfig(dir);
+    writer_cfg.bn.topology.shard_count = 2;
+    writer_cfg.bn.topology.shard_index = 1;
+    BnServer writer(writer_cfg);
+    writer.IngestBatch(Traffic(0, kHour, 20));
+    writer.AdvanceTo(kHour);
+    if (checkpoint) ASSERT_TRUE(writer.Checkpoint(dir).ok());
+
+    const auto expect_rejected = [&](BnServerConfig cfg) {
+      BnServer recovered(std::move(cfg));
+      const Status s = recovered.Recover(dir);
+      ASSERT_FALSE(s.ok());
+      EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+    };
+    BnServerConfig wrong_count = writer_cfg;
+    wrong_count.bn.topology.shard_count = 4;
+    expect_rejected(wrong_count);
+    BnServerConfig wrong_index = writer_cfg;
+    wrong_index.bn.topology.shard_index = 0;
+    expect_rejected(wrong_index);
+    BnServerConfig wrong_user_seed = writer_cfg;
+    wrong_user_seed.bn.topology.user_seed ^= 1;
+    expect_rejected(wrong_user_seed);
+    BnServerConfig wrong_value_seed = writer_cfg;
+    wrong_value_seed.bn.topology.value_seed ^= 1;
+    expect_rejected(wrong_value_seed);
+
+    // The matching layout still recovers.
+    BnServer recovered(writer_cfg);
+    ASSERT_TRUE(recovered.Recover(dir).ok());
+    EXPECT_EQ(writer.FirstDifference(recovered), "");
+  }
+}
+
+TEST(RecoveryTest, UnappliableWalRecordIsAnErrorNotAnAbort) {
+  // A WAL from a server with more users fails the header fingerprint
+  // before any record reaches Ingest's uid CHECK.
+  const std::string dir = FreshDir("rec_wal_users");
+  {
+    BnServerConfig big = SmallConfig(dir);
+    big.num_users = 128;
+    BnServer writer(big);
+    writer.Ingest(L(100, 42, 10 * kMinute));
+    writer.AdvanceTo(kHour);
+  }
+  {
+    BnServer recovered(SmallConfig(dir));
+    EXPECT_EQ(recovered.Recover(dir).code(), StatusCode::kFailedPrecondition);
+  }
+  // Under this server's own fingerprint, a record it cannot apply (uid
+  // past num_users, negative time, clock moving back) is InvalidArgument.
+  const std::vector<std::vector<storage::WalRecord>> forged = {
+      {storage::WalRecord::Ingest(L(64, 42, 10 * kMinute))},
+      {storage::WalRecord::Ingest(L(1, 42, -1))},
+      {storage::WalRecord::Advance(kHour), storage::WalRecord::Advance(0)},
+  };
+  for (size_t i = 0; i < forged.size(); ++i) {
+    SCOPED_TRACE("forged segment " + std::to_string(i));
+    const std::string forged_dir = FreshDir("rec_wal_forged");
+    {
+      BnServer writer(SmallConfig(forged_dir));
+      writer.AdvanceTo(0);  // writes segment 1 and its header
+    }
+    auto segment_or =
+        storage::ReadWalSegment(storage::WalSegmentPath(forged_dir, 1));
+    ASSERT_TRUE(segment_or.ok());
+    storage::WalWriter wal;
+    ASSERT_TRUE(
+        wal.Open(forged_dir, 1, {}, segment_or.value().fingerprint).ok());
+    for (const storage::WalRecord& record : forged[i]) {
+      ASSERT_TRUE(wal.Append(record).ok());
+    }
+    ASSERT_TRUE(wal.Close().ok());
+    BnServer recovered(SmallConfig(forged_dir));
+    const Status s = recovered.Recover(forged_dir);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+}
+
+TEST(RecoveryTest, LogsDeltaWithOutOfRangeTypeIsRejected) {
+  const std::string dir = FreshDir("rec_logs_delta_type");
+  BnServer writer(SmallConfig(dir));
+  writer.IngestBatch(Traffic(0, kDay, 200));
+  writer.AdvanceTo(kDay);
+  ASSERT_TRUE(writer.Checkpoint(dir).ok());  // full base
+  writer.IngestBatch(Traffic(kDay, kDay + kHour, 5));
+  writer.AdvanceTo(kDay + kHour);
+  ASSERT_TRUE(writer.Checkpoint(dir).ok());  // delta
+  const std::vector<uint64_t> deltas = storage::ListCheckpointDeltas(dir);
+  ASSERT_EQ(deltas.size(), 1u);
+  const std::string path = storage::CheckpointDeltaPath(dir, deltas[0]);
+  auto original = storage::ReadFileBytes(path);
+  ASSERT_TRUE(original.ok());
+
+  for (const uint8_t type : {uint8_t{10}, uint8_t{255}}) {
+    ASSERT_TRUE(storage::WriteFileAtomic(path, original.value()).ok());
+    auto reader_or = storage::CheckpointReader::Open(path);
+    ASSERT_TRUE(reader_or.ok());
+    const storage::CheckpointReader& reader = reader_or.value();
+    storage::CheckpointWriter rewriter;
+    rewriter.SetChain(reader.kind(), reader.covered_seq(),
+                      reader.parent_seq());
+    for (const char* name : {"meta", "server", "edges_delta", "logs_delta",
+                             "buckets_delta", "snapshot_delta", "churn"}) {
+      std::string payload(reader.Find(name));
+      if (std::string_view(name) == "logs_delta") {
+        ASSERT_GT(payload.size(), 8u + 4u);
+        payload[8 + 4] = static_cast<char>(type);  // u64 count, u32 uid
+      }
+      storage::BinaryWriter section;
+      section.Bytes(payload.data(), payload.size());
+      rewriter.AddSection(name, section);
+    }
+    ASSERT_TRUE(rewriter.WriteFile(path).ok());
+
+    BnServer recovered(SmallConfig());
+    const Status s = recovered.Recover(dir);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << "type " << int{type} << ": " << s.ToString();
+  }
 }
 
 TEST(RecoveryTest, CorruptCheckpointIsRejected) {

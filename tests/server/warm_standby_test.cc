@@ -261,5 +261,52 @@ TEST(WarmStandbyTest, BootstrapFromShippedCheckpointPlusWalTail) {
             std::string::npos);
 }
 
+TEST(WarmStandbyTest, ConfigMismatchIsRejectedBeforeAnyCheckpoint) {
+  // With nothing checkpointed yet, the shipped WAL segment headers carry
+  // the primary's config fingerprint; a standby configured differently
+  // (engine schedule or shard topology) refuses to bootstrap.
+  const std::string primary_dir = FreshDir("standby_cfg_primary");
+  const std::string replica_dir = FreshDir("standby_cfg_replica");
+  BnServerConfig primary_cfg = SmallConfig(primary_dir);
+  primary_cfg.bn.topology.shard_count = 2;
+  primary_cfg.bn.topology.shard_index = 1;
+  BnServer primary(primary_cfg);
+  primary.IngestBatch(Traffic(0, kHour, 20));
+  primary.AdvanceTo(kHour);
+  ASSERT_TRUE(storage::ShipWalDir(primary_dir, replica_dir).ok());
+  ASSERT_FALSE(fs::exists(replica_dir + "/checkpoint.bin"));
+
+  BnServerConfig standby_cfg = primary_cfg;
+  standby_cfg.wal_dir.clear();
+  const auto catch_up = [&](const BnServerConfig& server) {
+    WarmStandbyConfig scfg;
+    scfg.server = server;
+    scfg.replica_dir = replica_dir;
+    auto standby = std::make_unique<WarmStandby>(scfg);
+    const Status s = standby->CatchUp();
+    return std::make_pair(s, std::move(standby));
+  };
+  BnServerConfig wrong_windows = standby_cfg;
+  wrong_windows.bn.windows = {kHour, 2 * kDay};
+  BnServerConfig wrong_count = standby_cfg;
+  wrong_count.bn.topology.shard_count = 4;
+  BnServerConfig wrong_index = standby_cfg;
+  wrong_index.bn.topology.shard_index = 0;
+  BnServerConfig wrong_user_seed = standby_cfg;
+  wrong_user_seed.bn.topology.user_seed ^= 1;
+  BnServerConfig wrong_value_seed = standby_cfg;
+  wrong_value_seed.bn.topology.value_seed ^= 1;
+  for (const BnServerConfig& wrong :
+       {wrong_windows, wrong_count, wrong_index, wrong_user_seed,
+        wrong_value_seed}) {
+    auto [s, standby] = catch_up(wrong);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+    EXPECT_FALSE(standby->bootstrapped());
+  }
+  auto [s, standby] = catch_up(standby_cfg);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(primary.FirstDifference(*standby->server()), "");
+}
+
 }  // namespace
 }  // namespace turbo::server

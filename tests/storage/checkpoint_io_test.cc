@@ -216,5 +216,32 @@ TEST(CheckpointIoTest, AtomicWriteLeavesNoTempFileBehind) {
   EXPECT_FALSE(tmp.good());
 }
 
+// The one BehaviorLog codec (shared by the wire, the WAL record and the
+// logs_delta section) refuses a type byte that names no BehaviorType.
+TEST(BehaviorLogCodecTest, OutOfRangeTypeIsRejected) {
+  const BehaviorLog log{7, BehaviorType::kIpv4, 42, kHour};
+  for (const uint8_t type : {uint8_t{10}, uint8_t{255}}) {
+    BinaryWriter one;
+    EncodeBehaviorLog(log, &one);
+    std::string bytes = one.data();
+    bytes[4] = static_cast<char>(type);  // after the u32 uid
+    BinaryReader r(bytes);
+    BehaviorLog decoded;
+    EXPECT_EQ(DecodeBehaviorLog(&r, &decoded).code(),
+              StatusCode::kInvalidArgument)
+        << "type " << int{type};
+
+    BinaryWriter batch;
+    EncodeLogBatch({log, log}, &batch);
+    std::string batch_bytes = batch.data();
+    // u64 count, the first log, then the second log's uid.
+    batch_bytes[8 + kBehaviorLogBytes + 4] = static_cast<char>(type);
+    BinaryReader rb(batch_bytes);
+    BehaviorLogList logs;
+    EXPECT_EQ(DecodeLogBatch(&rb, &logs).code(), StatusCode::kInvalidArgument)
+        << "type " << int{type};
+  }
+}
+
 }  // namespace
 }  // namespace turbo::storage

@@ -118,5 +118,41 @@ TEST(LogStoreTest, BehaviorTypeHelpers) {
   EXPECT_EQ(kNumEdgeTypes, 8);
 }
 
+// Each of the section's three type-carrying rows (user run, value-key
+// run, hour bucket) refuses a type byte that names no BehaviorType.
+TEST(LogStoreTest, DeserializeRejectsOutOfRangeType) {
+  LogStore store;
+  store.Append(L(3, BehaviorType::kIpv4, 42, 10));
+  BinaryWriter w;
+  store.Serialize(&w);
+  const std::string valid = w.data();
+  {
+    BinaryReader r(valid);
+    LogStore copy;
+    ASSERT_TRUE(copy.Deserialize(&r).ok());
+  }
+  // u64 total, u64 users, then the user run: u32 uid, u8 sorted,
+  // u64 count and 17-byte rows (type first). Then u64 keys and the
+  // value-key run (type first), 18 bytes + one 12-byte observation;
+  // then u64 hours, and the hour bucket: i64 hour, u64 count, 9-byte
+  // key rows (type first).
+  const size_t user_row = 8 + 8 + 4 + 1 + 8;
+  const size_t value_key = user_row + 17 + 8;
+  const size_t hour_key = value_key + 18 + 12 + 8 + 8 + 8;
+  ASSERT_EQ(valid.size(), hour_key + 9);
+  for (const size_t at : {user_row, value_key, hour_key}) {
+    ASSERT_EQ(valid[at], static_cast<char>(BehaviorType::kIpv4)) << at;
+    for (const uint8_t type : {uint8_t{10}, uint8_t{255}}) {
+      std::string bytes = valid;
+      bytes[at] = static_cast<char>(type);
+      BinaryReader r(bytes);
+      LogStore copy;
+      EXPECT_EQ(copy.Deserialize(&r).code(), StatusCode::kInvalidArgument)
+          << "offset " << at << " type " << int{type};
+      EXPECT_EQ(copy.size(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace turbo::storage

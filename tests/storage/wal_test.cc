@@ -206,5 +206,35 @@ TEST(WalTest, ListCheckpointDeltasSortsAndIgnoresForeignFiles) {
   EXPECT_TRUE(ListCheckpointDeltas(dir + "/missing").empty());
 }
 
+// A record whose CRC holds was written that way, so a type byte past
+// the enum is corruption: the read fails instead of reporting a torn
+// tail that replay would silently stop at.
+TEST(WalTest, CrcValidRecordWithOutOfRangeTypeIsCorruption) {
+  const std::string dir = FreshDir("wal_bad_type");
+  const std::string path = WalSegmentPath(dir, 1);
+  for (const uint8_t type : {uint8_t{10}, uint8_t{255}}) {
+    WalWriter writer;
+    ASSERT_TRUE(writer.Open(dir, 1, {}).ok());
+    ASSERT_TRUE(writer.Append(WalRecord::Ingest(L(1, 2, 3))).ok());
+    ASSERT_TRUE(writer.Close().ok());
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    std::string file = bytes.value();
+    // The last record: u8 kind, 21-byte log, u32 crc(kind + log).
+    const size_t body = 1 + kBehaviorLogBytes;
+    const size_t start = file.size() - body - sizeof(uint32_t);
+    file[start + 1 + 4] = static_cast<char>(type);  // kind, then u32 uid
+    const uint32_t crc = Crc32(file.data() + start, body);
+    file.replace(start + body, sizeof(crc),
+                 std::string(reinterpret_cast<const char*>(&crc),
+                             sizeof(crc)));
+    ASSERT_TRUE(WriteFileAtomic(path, file).ok());
+
+    auto segment_or = ReadWalSegment(path);
+    ASSERT_FALSE(segment_or.ok()) << "type " << int{type};
+    EXPECT_EQ(segment_or.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace turbo::storage
