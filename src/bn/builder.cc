@@ -317,7 +317,8 @@ void BnBuilder::SerializeCacheSince(SimTime after,
   }
 }
 
-Status BnBuilder::DeserializeCacheDelta(storage::BinaryReader* r) {
+Status BnBuilder::DeserializeCacheDelta(storage::BinaryReader* r,
+                                        UserId num_users) {
   const auto fail = [this](const char* what) {
     base_buckets_.clear();
     cache_bytes_ = 0;
@@ -331,6 +332,7 @@ Status BnBuilder::DeserializeCacheDelta(storage::BinaryReader* r) {
     const uint64_t num_keys = r->U64();
     // Without this a corrupt epoch count would spin through zeroes.
     if (!r->ok()) return fail("truncated");
+    if (epoch_end < 0) return fail("negative epoch end");
     std::unordered_map<ValueKey, std::vector<UserId>, ValueKeyHash> slot;
     for (uint64_t k = 0; k < num_keys; ++k) {
       ValueKey key;
@@ -344,6 +346,9 @@ Status BnBuilder::DeserializeCacheDelta(storage::BinaryReader* r) {
       if (type >= kNumBehaviorTypes) return fail("bad behavior type");
       std::vector<UserId> users(n);
       r->Bytes(users.data(), n * sizeof(UserId));
+      for (UserId u : users) {
+        if (u >= num_users) return fail("bucket user id out of range");
+      }
       slot.emplace(key, std::move(users));
     }
     // Replace the epoch wholesale (on the delta path it is always new —

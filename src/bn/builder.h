@@ -178,8 +178,9 @@ class BnBuilder {
   /// cache: listed epochs replace same-keyed entries, others are kept.
   /// The caller then evicts with the recovered job frontiers to drop
   /// epochs the checkpoint writer had already evicted. Fails (cache
-  /// cleared) on truncation or an out-of-range behavior type.
-  Status DeserializeCacheDelta(storage::BinaryReader* r);
+  /// cleared) on truncation, an out-of-range behavior type, a negative
+  /// epoch end or a bucket user id at or past `num_users`.
+  Status DeserializeCacheDelta(storage::BinaryReader* r, UserId num_users);
 
   /// Epoch index of time `t` (>= 0) for `window`: epoch 1 covers
   /// [0, window], epoch j > 1 covers ((j-1)*window, j*window].

@@ -1,8 +1,10 @@
 #include "bn/snapshot.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 
@@ -12,30 +14,28 @@ namespace turbo::bn {
 
 namespace {
 
-/// Leading byte of the serialized snapshot payload. Version 2 added the
-/// row-group layout's weighted-degree doubles; older payloads are
-/// rejected (checkpoints are not forward-migrated).
-constexpr uint8_t kSnapshotFormat = 2;
+/// Leading byte of the serialized snapshot payload. Version 3 made the
+/// row-group diff the only form (a null base writes every group); older
+/// payloads are rejected (checkpoints are not forward-migrated).
+constexpr uint8_t kSnapshotFormat = 3;
 
-/// Runs fn(begin, end) over contiguous chunks of [0, n) on `num_threads`
-/// threads (inline when one thread suffices). The build passes below are
-/// embarrassingly parallel over nodes: every (type, node) row is written
-/// by exactly one chunk and the EdgeStore is only read.
+/// Runs fn(i) for every i in [0, n) on `num_threads` threads, the caller
+/// included; each thread claims the next unclaimed index, so uneven
+/// items balance. Inline when there are too few items to share.
 template <typename Fn>
-void ParallelOverNodes(int num_threads, int n, const Fn& fn) {
-  if (num_threads <= 1 || n < 2 * num_threads) {
-    fn(0, n);
+void ParallelFor(int num_threads, size_t n, const Fn& fn) {
+  if (num_threads <= 1 || n < 2 * static_cast<size_t>(num_threads)) {
+    for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next++; i < n; i = next++) fn(i);
+  };
   std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  const int chunk = (n + num_threads - 1) / num_threads;
-  for (int t = 0; t < num_threads; ++t) {
-    const int begin = t * chunk;
-    const int end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&fn, begin, end] { fn(begin, end); });
-  }
+  workers.reserve(num_threads - 1);
+  for (int t = 1; t < num_threads; ++t) workers.emplace_back(drain);
+  drain();
   for (auto& w : workers) w.join();
 }
 
@@ -57,90 +57,38 @@ std::shared_ptr<const BnSnapshot> BnSnapshot::Build(
   snap->normalized_ = options.normalize;
   const int threads = ResolveThreads(options.num_threads);
   const size_t num_groups = NumGroups(num_nodes);
+  std::vector<GroupJob> jobs;
+  jobs.reserve(num_groups * kNumEdgeTypes);
+  for (int t = 0; t < kNumEdgeTypes; ++t) {
+    for (size_t g = 0; g < num_groups; ++g) jobs.push_back({t, g});
+  }
+  for (TypeCsr& csr : snap->csr_) csr.groups.resize(num_groups);
 
-  // Per-row counts and weighted degrees (the latter feed the fused
-  // normalization and are retained per group for ApplyDeltas).
-  std::array<std::vector<size_t>, kNumEdgeTypes> counts;
+  // Degree pass: every row's size, which lays out its group, and exact
+  // weighted degree, which the fill normalizes with and the groups
+  // retain for ApplyDeltas.
+  std::array<std::vector<uint32_t>, kNumEdgeTypes> counts;
   std::array<std::vector<double>, kNumEdgeTypes> wdeg;
-
-  // Pass 1 — degrees.
   for (int t = 0; t < kNumEdgeTypes; ++t) {
-    counts[t].assign(num_nodes, 0);
-    if (options.normalize) wdeg[t].assign(num_nodes, 0.0);
+    counts[t].resize(static_cast<size_t>(num_nodes));
+    if (options.normalize) wdeg[t].resize(static_cast<size_t>(num_nodes));
   }
-  ParallelOverNodes(threads, num_nodes, [&](int begin, int end) {
-    for (int t = 0; t < kNumEdgeTypes; ++t) {
-      for (int u = begin; u < end; ++u) {
-        const auto& nbrs = store.Neighbors(t, static_cast<UserId>(u));
-        counts[t][u] = nbrs.size();
-        if (options.normalize) {
-          double s = 0.0;
-          for (const auto& [v, e] : nbrs) s += e.weight;
-          wdeg[t][u] = s;
-        }
-      }
-    }
-  });
-
-  // Group scaffolding: local prefix sums, pre-sized arrays, wdeg slices.
-  // Kept mutable (raw pointers) until the fill pass is done.
-  std::array<std::vector<RowGroup*>, kNumEdgeTypes> mutable_groups;
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    TypeCsr& csr = snap->csr_[t];
-    csr.groups.resize(num_groups);
-    mutable_groups[t].resize(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      const size_t base = g << kRowGroupShift;
-      const size_t rows = GroupRows(num_nodes, g);
-      auto rg = std::make_shared<RowGroup>();
-      rg->offsets.resize(rows + 1);
-      rg->offsets[0] = 0;
-      for (size_t i = 0; i < rows; ++i) {
-        rg->offsets[i + 1] = rg->offsets[i] + counts[t][base + i];
-      }
-      const size_t total = rg->offsets[rows];
-      rg->neighbor.resize(total);
-      rg->weight.resize(total);
+  ParallelFor(threads, jobs.size(), [&](size_t j) {
+    const auto [t, g] = jobs[j];
+    const size_t base = g << kRowGroupShift;
+    for (size_t i = 0; i < GroupRows(num_nodes, g); ++i) {
+      const auto u = static_cast<UserId>(base + i);
+      const auto& nbrs = store.Neighbors(t, u);
+      counts[t][u] = static_cast<uint32_t>(nbrs.size());
       if (options.normalize) {
-        rg->wdeg.assign(wdeg[t].begin() + base, wdeg[t].begin() + base + rows);
-      }
-      csr.entries += total;
-      mutable_groups[t][g] = rg.get();
-      csr.groups[g] = std::move(rg);
-    }
-  }
-
-  // Pass 2 — fill: each row is sorted by neighbor id and written into
-  // its pre-sized group slice; normalization is applied in place of a
-  // second copy. Rows are disjoint, so chunks may straddle groups.
-  ParallelOverNodes(threads, num_nodes, [&](int begin, int end) {
-    std::vector<std::pair<UserId, float>> row;
-    for (int t = 0; t < kNumEdgeTypes; ++t) {
-      for (int u = begin; u < end; ++u) {
-        const auto& nbrs = store.Neighbors(t, static_cast<UserId>(u));
-        RowGroup& rg =
-            *mutable_groups[t][static_cast<size_t>(u) >> kRowGroupShift];
-        row.clear();
-        row.reserve(nbrs.size());
-        for (const auto& [v, e] : nbrs) {
-          TURBO_CHECK_LT(v, static_cast<UserId>(num_nodes));
-          row.push_back({v, static_cast<float>(e.weight)});
-        }
-        std::sort(row.begin(), row.end());
-        size_t k = rg.offsets[static_cast<size_t>(u) & (kRowGroupSize - 1)];
-        for (const auto& [v, w] : row) {
-          rg.neighbor[k] = v;
-          float out = w;
-          if (options.normalize) {
-            const double d = wdeg[t][u] * wdeg[t][v];
-            out = d > 0.0 ? static_cast<float>(w / std::sqrt(d)) : 0.0f;
-          }
-          rg.weight[k] = out;
-          ++k;
-        }
+        // EdgeStore::WeightedDegree's sum, over the row already fetched.
+        double s = 0.0;
+        for (const auto& [v, e] : nbrs) s += e.weight;
+        wdeg[t][u] = s;
       }
     }
   });
+  snap->FillGroups(store, nullptr, counts, wdeg, jobs, threads);
   return snap;
 }
 
@@ -151,54 +99,51 @@ std::shared_ptr<const BnSnapshot> BnSnapshot::ApplyDeltas(
   TURBO_CHECK(prev != nullptr);
   TURBO_CHECK_EQ(prev->normalized_, options.normalize);
   const int num_nodes = prev->num_nodes_;
-  const int threads = ResolveThreads(options.num_threads);
   const size_t num_groups = NumGroups(num_nodes);
   auto snap = std::shared_ptr<BnSnapshot>(new BnSnapshot());
   snap->num_nodes_ = num_nodes;
   snap->version_ = version;
   snap->normalized_ = prev->normalized_;
+  // Start fully shared; the fill replaces the dirty groups.
+  snap->csr_ = prev->csr_;
 
+  const int threads = ResolveThreads(options.num_threads);
+  std::array<std::vector<uint32_t>, kNumEdgeTypes> counts;
+  std::array<std::vector<double>, kNumEdgeTypes> wdeg;
   for (int t = 0; t < kNumEdgeTypes; ++t) {
-    const TypeCsr& in = prev->csr_[t];
-    TypeCsr& out = snap->csr_[t];
-    // Start fully shared; dirty groups are replaced below.
-    out.groups = in.groups;
-    out.entries = in.entries;
     const auto& churned = churn.nodes[t];
     if (churned.empty()) {
       if (stats != nullptr) stats->shared_groups += num_groups;
       continue;
     }
-
     // Recompute set: the churned rows themselves plus — under
     // normalization — their current neighbors, whose stored floats
     // embed the churned nodes' weighted degrees. (A row outside this
     // set has unchanged raw weights AND unchanged endpoint degrees, so
     // its floats are unchanged; see the expiry argument in DESIGN.md.)
-    // Both the set and the degree table are dense arrays, not hash
-    // containers: the rebuild loop below probes them once per row and
-    // once per edge, so per-probe cost must match Build()'s flat
-    // indexing or the patch loses its asymptotic win to constant
-    // factors. The O(num_nodes) doubles copy is memcpy-speed and
-    // amortizes over every probe.
-    std::vector<double> wdeg_all;
+    // The set (the rows whose count is not kCopyRow) and the degree
+    // table are dense arrays, not hash containers: the fill probes them
+    // once per row and once per edge, so per-probe cost must match
+    // Build()'s flat indexing or the patch loses its asymptotic win to
+    // constant factors. The O(num_nodes) doubles copy is memcpy-speed
+    // and amortizes over every probe.
     if (options.normalize) {
-      wdeg_all.resize(static_cast<size_t>(num_nodes));
+      wdeg[t].resize(static_cast<size_t>(num_nodes));
       for (size_t g = 0; g < num_groups; ++g) {
-        const RowGroup& rg = *in.groups[g];
+        const RowGroup& rg = *prev->csr_[t].groups[g];
         std::copy(rg.wdeg.begin(), rg.wdeg.end(),
-                  wdeg_all.begin() + (g << kRowGroupShift));
+                  wdeg[t].begin() + (g << kRowGroupShift));
       }
     }
-    std::vector<uint8_t> rebuild(static_cast<size_t>(num_nodes), 0);
+    counts[t].assign(static_cast<size_t>(num_nodes), kCopyRow);
     size_t touched = 0;
-    std::vector<uint32_t> dirty;
+    std::vector<size_t> dirty;
     const auto mark = [&](UserId u) {
       TURBO_CHECK_LT(u, static_cast<UserId>(num_nodes));
-      if (rebuild[u]) return;
-      rebuild[u] = 1;
+      if (counts[t][u] != kCopyRow) return;
+      counts[t][u] = static_cast<uint32_t>(store.Neighbors(t, u).size());
       ++touched;
-      const auto g = static_cast<uint32_t>(u >> kRowGroupShift);
+      const size_t g = static_cast<size_t>(u) >> kRowGroupShift;
       if (dirty.empty() || dirty.back() != g) dirty.push_back(g);
     };
     for (UserId u : churned) {
@@ -207,7 +152,7 @@ std::shared_ptr<const BnSnapshot> BnSnapshot::ApplyDeltas(
         // The churned nodes' new exact degrees overwrite the prev-era
         // table first so row rebuilds can mix new and prev degrees
         // without ordering hazards.
-        wdeg_all[u] = store.WeightedDegree(t, u);
+        wdeg[t][u] = store.WeightedDegree(t, u);
         for (const auto& [v, e] : store.Neighbors(t, u)) mark(v);
       }
     }
@@ -218,203 +163,96 @@ std::shared_ptr<const BnSnapshot> BnSnapshot::ApplyDeltas(
       stats->rebuilt_groups += dirty.size();
       stats->shared_groups += num_groups - dirty.size();
     }
-
-    // Rebuild dirty groups in parallel: untouched rows are copied
-    // byte-wise from prev, touched rows are rebuilt from the store with
-    // the exact same gather/sort/normalize sequence as Build().
-    std::vector<int64_t> entry_delta(dirty.size(), 0);
-    ParallelOverNodes(threads, static_cast<int>(dirty.size()),
-                      [&](int dbegin, int dend) {
-      std::vector<std::pair<UserId, float>> row;
-      for (int di = dbegin; di < dend; ++di) {
-        const size_t g = dirty[di];
-        const RowGroup& old = *in.groups[g];
-        const size_t base = g << kRowGroupShift;
-        const size_t rows = GroupRows(num_nodes, g);
-        auto rg = std::make_shared<RowGroup>();
-        rg->offsets.resize(rows + 1);
-        rg->offsets[0] = 0;
-        for (size_t i = 0; i < rows; ++i) {
-          const UserId u = static_cast<UserId>(base + i);
-          const size_t n = rebuild[u] != 0
-                               ? store.Neighbors(t, u).size()
-                               : old.offsets[i + 1] - old.offsets[i];
-          rg->offsets[i + 1] = rg->offsets[i] + n;
-        }
-        const size_t total = rg->offsets[rows];
-        rg->neighbor.resize(total);
-        rg->weight.resize(total);
-        if (options.normalize) {
-          // wdeg_all already overlays the churned nodes' new degrees on
-          // the prev-era table, so the group slice is just a copy.
-          rg->wdeg.assign(wdeg_all.begin() + base,
-                          wdeg_all.begin() + base + rows);
-        }
-        for (size_t i = 0; i < rows; ++i) {
-          const UserId u = static_cast<UserId>(base + i);
-          size_t k = rg->offsets[i];
-          if (rebuild[u] == 0) {
-            const size_t old_begin = old.offsets[i];
-            const size_t n = old.offsets[i + 1] - old_begin;
-            std::copy_n(old.neighbor.begin() + old_begin, n,
-                        rg->neighbor.begin() + k);
-            std::copy_n(old.weight.begin() + old_begin, n,
-                        rg->weight.begin() + k);
-            continue;
-          }
-          const auto& nbrs = store.Neighbors(t, u);
-          row.clear();
-          row.reserve(nbrs.size());
-          for (const auto& [v, e] : nbrs) {
-            TURBO_CHECK_LT(v, static_cast<UserId>(num_nodes));
-            row.push_back({v, static_cast<float>(e.weight)});
-          }
-          std::sort(row.begin(), row.end());
-          for (const auto& [v, w] : row) {
-            rg->neighbor[k] = v;
-            float out = w;
-            if (options.normalize) {
-              const double d = wdeg_all[u] * wdeg_all[v];
-              out = d > 0.0 ? static_cast<float>(w / std::sqrt(d)) : 0.0f;
-            }
-            rg->weight[k] = out;
-            ++k;
-          }
-        }
-        entry_delta[di] = static_cast<int64_t>(total) -
-                          static_cast<int64_t>(old.offsets.back());
-        out.groups[g] = std::move(rg);
-      }
-    });
-    int64_t delta = 0;
-    for (int64_t d : entry_delta) delta += d;
-    out.entries = static_cast<size_t>(static_cast<int64_t>(out.entries) +
-                                      delta);
+    // One type at a time, while its tables are hot; freeing them lets
+    // the next type's reuse the memory (all types' tables at once read
+    // 1.6x slower on one thread at 20k nodes).
+    std::vector<GroupJob> jobs;
+    for (size_t g : dirty) jobs.push_back({t, g});
+    snap->FillGroups(store, prev.get(), counts, wdeg, jobs, threads);
+    counts[t] = {};
+    wdeg[t] = {};
   }
   return snap;
 }
 
-void BnSnapshot::Serialize(storage::BinaryWriter* w) const {
-  w->U8(kSnapshotFormat);
-  w->U64(version_);
-  w->I64(num_nodes_);
-  w->U8(normalized_ ? 1 : 0);
-  const size_t num_groups = NumGroups(num_nodes_);
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    const TypeCsr& csr = csr_[t];
-    w->U64(csr.entries);
-    // Flattened global offsets: group-local offsets plus the running base.
-    uint64_t base = 0;
-    w->U64(0);
-    for (size_t g = 0; g < num_groups; ++g) {
-      const RowGroup& rg = *csr.groups[g];
-      for (size_t i = 1; i < rg.offsets.size(); ++i) {
-        w->U64(base + rg.offsets[i]);
-      }
-      base += rg.offsets.back();
+void BnSnapshot::FillGroups(
+    const storage::EdgeStore& store, const BnSnapshot* prev,
+    const std::array<std::vector<uint32_t>, kNumEdgeTypes>& counts,
+    const std::array<std::vector<double>, kNumEdgeTypes>& wdeg,
+    const std::vector<GroupJob>& jobs, int num_threads) {
+  // Each job writes its own group slot and entry delta, and the store is
+  // only read.
+  std::vector<size_t> added(jobs.size());
+  ParallelFor(num_threads, jobs.size(), [&](size_t j) {
+    const auto [t, g] = jobs[j];
+    const RowGroup* old =
+        prev != nullptr ? prev->csr_[t].groups[g].get() : nullptr;
+    const size_t base = g << kRowGroupShift;
+    const size_t rows = GroupRows(num_nodes_, g);
+    const auto copied = [&](size_t i) {
+      return counts[t][base + i] == kCopyRow;
+    };
+    auto rg = std::make_shared<RowGroup>();
+    rg->offsets.resize(rows + 1);
+    rg->offsets[0] = 0;
+    for (size_t i = 0; i < rows; ++i) {
+      const size_t n = copied(i) ? old->offsets[i + 1] - old->offsets[i]
+                                 : counts[t][base + i];
+      rg->offsets[i + 1] = rg->offsets[i] + n;
     }
-    for (size_t g = 0; g < num_groups; ++g) {
-      const RowGroup& rg = *csr.groups[g];
-      w->Bytes(rg.neighbor.data(), rg.neighbor.size() * sizeof(UserId));
-    }
-    for (size_t g = 0; g < num_groups; ++g) {
-      const RowGroup& rg = *csr.groups[g];
-      w->Bytes(rg.weight.data(), rg.weight.size() * sizeof(float));
-    }
+    const size_t total = rg->offsets[rows];
+    rg->neighbor.resize(total);
+    rg->weight.resize(total);
     if (normalized_) {
-      for (size_t g = 0; g < num_groups; ++g) {
-        const RowGroup& rg = *csr.groups[g];
-        w->Bytes(rg.wdeg.data(), rg.wdeg.size() * sizeof(double));
+      rg->wdeg.assign(wdeg[t].begin() + base, wdeg[t].begin() + base + rows);
+    }
+    std::vector<std::pair<UserId, float>> row;
+    for (size_t i = 0; i < rows; ++i) {
+      size_t k = rg->offsets[i];
+      if (copied(i)) {
+        const size_t old_begin = old->offsets[i];
+        const size_t n = old->offsets[i + 1] - old_begin;
+        std::copy_n(old->neighbor.begin() + old_begin, n,
+                    rg->neighbor.begin() + k);
+        std::copy_n(old->weight.begin() + old_begin, n,
+                    rg->weight.begin() + k);
+        continue;
+      }
+      const auto u = static_cast<UserId>(base + i);
+      const auto& nbrs = store.Neighbors(t, u);
+      row.clear();
+      row.reserve(nbrs.size());
+      for (const auto& [v, e] : nbrs) {
+        TURBO_CHECK_LT(v, static_cast<UserId>(num_nodes_));
+        row.push_back({v, static_cast<float>(e.weight)});
+      }
+      std::sort(row.begin(), row.end());
+      for (const auto& [v, w] : row) {
+        rg->neighbor[k] = v;
+        float out = w;
+        if (normalized_) {
+          const double d = wdeg[t][u] * wdeg[t][v];
+          out = d > 0.0 ? static_cast<float>(w / std::sqrt(d)) : 0.0f;
+        }
+        rg->weight[k] = out;
+        ++k;
       }
     }
+    // Unsigned wrap-around makes a shrinking group a negative delta.
+    added[j] = total - (old != nullptr ? old->offsets.back() : 0);
+    csr_[t].groups[g] = std::move(rg);
+  });
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    csr_[jobs[j].type].entries += added[j];
   }
 }
 
-Result<std::shared_ptr<const BnSnapshot>> BnSnapshot::Deserialize(
-    storage::BinaryReader* r) {
-  if (r->U8() != kSnapshotFormat) {
-    return Status::InvalidArgument("unsupported snapshot format");
-  }
-  auto snap = std::shared_ptr<BnSnapshot>(new BnSnapshot());
-  snap->version_ = r->U64();
-  snap->num_nodes_ = static_cast<int>(r->I64());
-  snap->normalized_ = r->U8() != 0;
-  if (!r->ok() || snap->num_nodes_ <= 0) {
-    return Status::InvalidArgument("corrupt snapshot header");
-  }
-  const size_t rows = static_cast<size_t>(snap->num_nodes_);
-  const size_t num_groups = NumGroups(snap->num_nodes_);
-  // Size claims must fit the remaining payload before any resize — a
-  // corrupt length would otherwise turn into a huge allocation.
-  if (rows + 1 > r->remaining() / sizeof(uint64_t)) {
-    return Status::InvalidArgument("corrupt snapshot node count");
-  }
-  std::vector<uint64_t> offsets(rows + 1);
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    TypeCsr& csr = snap->csr_[t];
-    const uint64_t entries = r->U64();
-    if (entries > r->remaining() / (sizeof(UserId) + sizeof(float))) {
-      return Status::InvalidArgument("corrupt snapshot entry count");
-    }
-    for (size_t i = 0; i <= rows; ++i) offsets[i] = r->U64();
-    if (!r->ok() || offsets[0] != 0 || offsets[rows] != entries ||
-        !std::is_sorted(offsets.begin(), offsets.end())) {
-      return Status::InvalidArgument("corrupt snapshot CSR offsets");
-    }
-    csr.entries = entries;
-    // Re-segment into row groups: local offsets, then contiguous array
-    // slices carved out of the flattened neighbor / weight / wdeg blocks.
-    std::vector<std::shared_ptr<RowGroup>> groups(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      const size_t base = g << kRowGroupShift;
-      const size_t grows = GroupRows(snap->num_nodes_, g);
-      auto rg = std::make_shared<RowGroup>();
-      rg->offsets.resize(grows + 1);
-      for (size_t i = 0; i <= grows; ++i) {
-        rg->offsets[i] = offsets[base + i] - offsets[base];
-      }
-      groups[g] = std::move(rg);
-    }
-    for (auto& rg : groups) {
-      rg->neighbor.resize(rg->offsets.back());
-      r->Bytes(rg->neighbor.data(), rg->neighbor.size() * sizeof(UserId));
-    }
-    for (auto& rg : groups) {
-      rg->weight.resize(rg->offsets.back());
-      r->Bytes(rg->weight.data(), rg->weight.size() * sizeof(float));
-    }
-    if (snap->normalized_) {
-      for (auto& rg : groups) {
-        rg->wdeg.resize(rg->offsets.size() - 1);
-        r->Bytes(rg->wdeg.data(), rg->wdeg.size() * sizeof(double));
-      }
-    }
-    csr.groups.assign(groups.begin(), groups.end());
-    if (!r->ok()) {
-      return Status::InvalidArgument("truncated snapshot CSR arrays");
-    }
-    for (const auto& grp : csr.groups) {
-      for (UserId v : grp->neighbor) {
-        if (v >= static_cast<UserId>(snap->num_nodes_)) {
-          return Status::InvalidArgument(
-              "snapshot neighbor id out of range");
-        }
-      }
-      for (double d : grp->wdeg) {
-        if (!(d >= 0.0)) {
-          return Status::InvalidArgument(
-              "snapshot weighted degree out of range");
-        }
-      }
-    }
-  }
-  return std::shared_ptr<const BnSnapshot>(std::move(snap));
-}
-
-void BnSnapshot::SerializeDiff(const BnSnapshot& base,
+void BnSnapshot::SerializeDiff(const BnSnapshot* base,
                                storage::BinaryWriter* w) const {
-  TURBO_CHECK_EQ(num_nodes_, base.num_nodes_);
-  TURBO_CHECK_EQ(normalized_, base.normalized_);
+  if (base != nullptr) {
+    TURBO_CHECK_EQ(num_nodes_, base->num_nodes_);
+    TURBO_CHECK_EQ(normalized_, base->normalized_);
+  }
   w->U8(kSnapshotFormat);
   w->U64(version_);
   w->I64(num_nodes_);
@@ -427,13 +265,16 @@ void BnSnapshot::SerializeDiff(const BnSnapshot& base,
     // incremental publishes in between, pointer inequality == "some row
     // in it was rebuilt", so the diff is O(churned groups). (A group
     // rebuilt to identical bytes would be a harmless false positive.)
+    const auto shared = [&](size_t g) {
+      return base != nullptr && csr.groups[g] == base->csr_[t].groups[g];
+    };
     uint32_t changed = 0;
     for (size_t g = 0; g < num_groups; ++g) {
-      if (csr.groups[g] != base.csr_[t].groups[g]) ++changed;
+      if (!shared(g)) ++changed;
     }
     w->U32(changed);
     for (size_t g = 0; g < num_groups; ++g) {
-      if (csr.groups[g] == base.csr_[t].groups[g]) continue;
+      if (shared(g)) continue;
       const RowGroup& rg = *csr.groups[g];
       w->U32(static_cast<uint32_t>(g));
       w->U64(rg.offsets.back());
@@ -449,25 +290,42 @@ void BnSnapshot::SerializeDiff(const BnSnapshot& base,
 
 Result<std::shared_ptr<const BnSnapshot>> BnSnapshot::DeserializePatched(
     const std::shared_ptr<const BnSnapshot>& base, storage::BinaryReader* r) {
-  TURBO_CHECK(base != nullptr);
   if (r->U8() != kSnapshotFormat) {
     return Status::InvalidArgument("unsupported snapshot format");
   }
   auto snap = std::shared_ptr<BnSnapshot>(new BnSnapshot());
   snap->version_ = r->U64();
-  snap->num_nodes_ = static_cast<int>(r->I64());
+  const int64_t num_nodes = r->I64();
   snap->normalized_ = r->U8() != 0;
-  if (!r->ok() || snap->num_nodes_ != base->num_nodes_ ||
-      snap->normalized_ != base->normalized_) {
-    return Status::InvalidArgument("snapshot diff does not match its base");
+  if (!r->ok() || num_nodes <= 0 ||
+      num_nodes > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("corrupt snapshot header");
   }
+  snap->num_nodes_ = static_cast<int>(num_nodes);
   const size_t num_groups = NumGroups(snap->num_nodes_);
+  if (base != nullptr) {
+    if (snap->num_nodes_ != base->num_nodes_ ||
+        snap->normalized_ != base->normalized_) {
+      return Status::InvalidArgument("snapshot diff does not match its base");
+    }
+  } else if (static_cast<size_t>(num_nodes) >
+             r->remaining() / (kNumEdgeTypes * sizeof(uint64_t))) {
+    // Without a base every type carries an offset per row. A node count
+    // the payload cannot hold is corruption, and must fail before the
+    // group tables are sized from it.
+    return Status::InvalidArgument("corrupt snapshot node count");
+  }
   for (int t = 0; t < kNumEdgeTypes; ++t) {
     TypeCsr& csr = snap->csr_[t];
-    csr.groups = base->csr_[t].groups;
+    if (base != nullptr) {
+      csr.groups = base->csr_[t].groups;
+    } else {
+      csr.groups.resize(num_groups);
+    }
     const uint64_t entries = r->U64();
     const uint32_t changed = r->U32();
-    if (!r->ok() || changed > num_groups) {
+    if (!r->ok() || changed > num_groups ||
+        (base == nullptr && changed != num_groups)) {
       return Status::InvalidArgument("corrupt snapshot diff header");
     }
     int64_t prev_g = -1;
@@ -597,6 +455,12 @@ std::string BnSnapshot::FirstDifference(const BnSnapshot& other) const {
           return StrFormat("type %d row %u slot %zu: weight %.9g vs %.9g", t,
                            u, i, a.weight(i), b.weight(i));
         }
+      }
+      if (!normalized_) continue;
+      const double da = StoredDegree(t, u);
+      const double db = other.StoredDegree(t, u);
+      if (std::bit_cast<uint64_t>(da) != std::bit_cast<uint64_t>(db)) {
+        return StrFormat("type %d row %u: wdeg %.17g vs %.17g", t, u, da, db);
       }
     }
   }

@@ -16,8 +16,10 @@
 // The per-type symmetric degree normalization of Section III-A
 //   w'_r(u,v) = w_r(u,v) / sqrt(deg'_r(u) * deg'_r(v))
 // is fused into the build (a degree pass followed by a fill pass over the
-// live EdgeStore — no intermediate adjacency copy). Build() parallelizes
-// both passes over node ranges.
+// live EdgeStore — no intermediate adjacency copy). Build() and
+// ApplyDeltas() share that fill: Build() runs it on every row group in
+// parallel over (type, group) pairs, ApplyDeltas() on each type's dirty
+// groups in parallel over groups.
 //
 // A BnSnapshot is immutable after Build() and carries a monotonically
 // increasing version id assigned by its publisher. Consumers read through
@@ -185,7 +187,7 @@ class BnSnapshot {
   /// bit-identical to a full rebuild.
   ///
   /// `options.normalize` must match prev->normalized(); `num_threads`
-  /// parallelizes over dirty groups.
+  /// parallelizes over each type's dirty groups.
   static std::shared_ptr<const BnSnapshot> ApplyDeltas(
       const std::shared_ptr<const BnSnapshot>& prev,
       const storage::EdgeStore& store, const storage::EdgeChurn& churn,
@@ -231,39 +233,30 @@ class BnSnapshot {
 
   /// Bit-identity oracle (DESIGN.md §10): the first difference from
   /// `other` as text, or "" when both serve the same bits. Compares node
-  /// count, the normalization flag, per-type edge counts, and every row's
-  /// ids and float weight bits. The version is not compared; a caller
-  /// that pins it compares it itself.
+  /// count, the normalization flag, per-type edge counts, every row's ids
+  /// and float weight bits, and (normalized) every row's weighted-degree
+  /// double bits, which the next ApplyDeltas reads for untouched
+  /// endpoints. The version is not compared; a caller that pins it
+  /// compares it itself.
   std::string FirstDifference(const BnSnapshot& other) const;
 
-  /// Checkpoint hook: writes version, node count, normalization flag,
-  /// and per type the flattened CSR (global offsets / neighbor ids /
-  /// weights, plus the exact weighted-degree doubles when normalized),
-  /// so a recovered server republishes the exact snapshot its readers
-  /// were being served from — no rebuild on the recovery path. The
-  /// bytes depend only on content, never on how the group structure is
-  /// shared.
-  void Serialize(storage::BinaryWriter* w) const;
-
-  /// Restores a Serialize()d snapshot. Validates offset monotonicity and
-  /// array sizing, so a corrupt payload fails instead of producing a
-  /// snapshot whose spans read out of bounds. The restored snapshot is a
-  /// bit-identical ApplyDeltas base: row contents and weighted degrees
-  /// round-trip exactly.
-  static Result<std::shared_ptr<const BnSnapshot>> Deserialize(
-      storage::BinaryReader* r);
-
-  /// Delta-checkpoint hook: writes only the row groups that are NOT
-  /// pointer-shared with `base` (plus the header). With incremental
-  /// publishes in between, that is O(churn) — the copy-on-write sharing
-  /// doubles as a free diff. `base` must have the same num_nodes and
+  /// The snapshot codec (checkpoint hook): the header, then per type the
+  /// row groups that are NOT pointer-shared with `base`, each with its
+  /// offsets, ids, weights and (normalized) exact weighted-degree
+  /// doubles. With incremental publishes in between that is O(churn):
+  /// the copy-on-write sharing doubles as a free diff. A null `base`
+  /// writes every group. A non-null one must have the same num_nodes and
   /// normalization.
-  void SerializeDiff(const BnSnapshot& base, storage::BinaryWriter* w) const;
+  void SerializeDiff(const BnSnapshot* base, storage::BinaryWriter* w) const;
 
   /// Restores a SerializeDiff()d snapshot over a base with the same
-  /// *content* as the diff's base (pointer identity not required —
-  /// recovery applies diffs over deserialized bases). Untouched groups
-  /// are shared with `base`.
+  /// *content* as the writer's base (pointer identity not required:
+  /// recovery applies diffs over deserialized bases); untouched groups
+  /// are shared with `base`. A null `base` requires every group. Checks
+  /// the node count against the payload before allocating, offset
+  /// monotonicity, group sizes, neighbor ids and degrees, so a corrupt
+  /// payload fails instead of producing spans that read out of bounds.
+  /// The result is a bit-identical ApplyDeltas base.
   static Result<std::shared_ptr<const BnSnapshot>> DeserializePatched(
       const std::shared_ptr<const BnSnapshot>& base,
       storage::BinaryReader* r);
@@ -284,6 +277,36 @@ class BnSnapshot {
     std::vector<std::shared_ptr<const RowGroup>> groups;
     size_t entries = 0;  // directed entries summed over groups
   };
+
+  /// One (edge type, row group) unit of work for FillGroups.
+  struct GroupJob {
+    int type;
+    size_t group;
+  };
+
+  /// A row FillGroups copies from the previous snapshot's group.
+  static constexpr uint32_t kCopyRow = UINT32_MAX;
+
+  /// The one row-group fill behind Build and ApplyDeltas: replaces group
+  /// `job.group` of `job.type` for every job, in parallel over jobs, and
+  /// moves each type's entry count by what its groups gained.
+  /// `counts[type]` is node-indexed: a row marked kCopyRow is copied
+  /// from `prev`'s group; any other row holds that many store
+  /// neighbours, which are gathered, sorted by id and normalized with
+  /// `wdeg[type]`, the node-indexed weighted-degree table (empty for a
+  /// raw snapshot).
+  void FillGroups(
+      const storage::EdgeStore& store, const BnSnapshot* prev,
+      const std::array<std::vector<uint32_t>, kNumEdgeTypes>& counts,
+      const std::array<std::vector<double>, kNumEdgeTypes>& wdeg,
+      const std::vector<GroupJob>& jobs, int num_threads);
+
+  /// Exact weighted degree of row `u` as stored (normalized only).
+  double StoredDegree(int edge_type, UserId u) const {
+    const RowGroup& g =
+        *csr_[edge_type].groups[static_cast<size_t>(u) >> kRowGroupShift];
+    return g.wdeg[static_cast<size_t>(u) & (kRowGroupSize - 1)];
+  }
 
   static size_t NumGroups(int num_nodes) {
     return (static_cast<size_t>(num_nodes) + kRowGroupSize - 1) >>

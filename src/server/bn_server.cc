@@ -18,8 +18,10 @@ constexpr char kCheckpointFile[] = "checkpoint.bin";
 /// section and the row-group snapshot payload; version 3 added the
 /// shard topology (count, index, partition seeds) to the meta
 /// fingerprint so state taken under one cluster layout cannot be
-/// recovered — or standby-replayed — under another.
-constexpr uint32_t kStateVersion = 3;
+/// recovered — or standby-replayed — under another; version 4 wrote a
+/// full checkpoint's edges and snapshot in their delta form over an
+/// empty base.
+constexpr uint32_t kStateVersion = 4;
 
 std::string CheckpointPath(const std::string& dir) {
   return dir + "/" + kCheckpointFile;
@@ -354,8 +356,8 @@ void BnServer::ResetChainTrackers(uint64_t covered_seq) {
 storage::CheckpointWriter BnServer::BuildCheckpoint(
     storage::CheckpointKind kind, uint64_t covered_seq) const {
   // A full checkpoint is the link whose base is empty: no parent, no
-  // cached epochs, no snapshot. Only the edges and logs sections keep a
-  // second encoder, because a full carries them in bulk form.
+  // edges, no cached epochs, no snapshot. Only the logs section keeps a
+  // bulk encoder, because the recovery floor rests on it.
   const bool delta = kind == storage::CheckpointKind::kDelta;
   const auto& names = kSectionNames[delta];
   storage::CheckpointWriter writer;
@@ -386,7 +388,7 @@ storage::CheckpointWriter BnServer::BuildCheckpoint(
     edges_.SerializeTouched(checkpoint_churn_, &edges);
     storage::EncodeLogBatch(pending_log_tail_, &logs);
   } else {
-    edges_.Serialize(&edges);
+    edges_.SerializeTouched(edges_.AllRows(), &edges);
     logs_.Serialize(&logs);
   }
   writer.AddSection(names[kEdges], edges);
@@ -400,20 +402,14 @@ storage::CheckpointWriter BnServer::BuildCheckpoint(
                                &buckets);
   writer.AddSection(names[kBuckets], buckets);
 
-  // Published snapshot over the base's: unchanged (mode 0, also "none
-  // yet"), whole (mode 1), or a row-group diff (mode 2).
+  // A presence byte, then the published snapshot's row-group diff over
+  // the base's (every group when the base has none). Absent when
+  // nothing was published since the base, including "none yet".
   const auto base = delta ? last_ckpt_snapshot_ : nullptr;
   const auto published = snapshot_.load(std::memory_order_acquire);
   storage::BinaryWriter snap;
-  if (published == base) {
-    snap.U8(0);
-  } else if (base == nullptr) {
-    snap.U8(1);
-    published->Serialize(&snap);
-  } else {
-    snap.U8(2);
-    published->SerializeDiff(*base, &snap);
-  }
+  snap.U8(published != base ? 1 : 0);
+  if (published != base) published->SerializeDiff(base.get(), &snap);
   writer.AddSection(names[kSnapshot], snap);
 
   storage::BinaryWriter churn;
@@ -509,101 +505,94 @@ Status BnServer::ApplyCheckpoint(const storage::CheckpointReader& reader,
     }
   }
   TURBO_RETURN_IF_ERROR(CheckFingerprint(reader.Find(names[kMeta])));
-  {
-    storage::BinaryReader server(reader.Find(names[kServer]));
-    const SimTime saved_now = server.I64();
-    *start_seq = server.U64();
-    const uint64_t num_frontiers = server.U64();
+  // Every section must decode to its last byte.
+  const auto decode = [&](Section section, const auto& fn) -> Status {
+    storage::BinaryReader r(reader.Find(names[section]));
+    TURBO_RETURN_IF_ERROR(fn(&r));
+    if (!r.ok() || r.remaining() != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "corrupt checkpoint section '%s': trailing or missing bytes",
+          names[section]));
+    }
+    return Status::OK();
+  };
+  TURBO_RETURN_IF_ERROR(decode(kServer, [&](storage::BinaryReader* server) {
+    const SimTime saved_now = server->I64();
+    *start_seq = server->U64();
+    const uint64_t num_frontiers = server->U64();
     if (num_frontiers != last_job_end_.size()) {
       return Status::InvalidArgument("checkpoint frontier count mismatch");
     }
-    for (SimTime& t : last_job_end_) t = server.I64();
-    last_expiry_ = server.I64();
-    last_snapshot_ = server.I64();
-    next_version_ = server.U64();
-    jobs_run_ = server.U64();
-    edges_expired_ = server.U64();
-    if (!server.ok() || server.remaining() != 0) {
-      return Status::InvalidArgument("corrupt checkpoint server section");
-    }
+    for (SimTime& t : last_job_end_) t = server->I64();
+    last_expiry_ = server->I64();
+    last_snapshot_ = server->I64();
+    next_version_ = server->U64();
+    jobs_run_ = server->U64();
+    edges_expired_ = server->U64();
     now_.store(saved_now, std::memory_order_relaxed);
-  }
+    return Status::OK();
+  }));
   const auto num_users = static_cast<UserId>(config_.num_users);
-  {
-    storage::BinaryReader edges(reader.Find(names[kEdges]));
-    TURBO_RETURN_IF_ERROR(delta ? edges_.ApplyDeltaSection(&edges, num_users)
-                                : edges_.Deserialize(&edges, num_users));
-  }
-  {
-    storage::BinaryReader logs(reader.Find(names[kLogs]));
-    if (delta) {
-      // Appended directly, not through Ingest: replayed logs must not
-      // hit the WAL or the since-last-checkpoint tail — they are
-      // already durable in the chain being applied.
-      BehaviorLogList tail;
-      TURBO_RETURN_IF_ERROR(storage::DecodeLogBatch(&logs, &tail));
-      if (logs.remaining() != 0) {
-        return Status::InvalidArgument("trailing bytes in logs_delta");
-      }
-      for (const BehaviorLog& log : tail) {
-        TURBO_RETURN_IF_ERROR(CheckLog(log));
-        logs_.Append(log);
-      }
-    } else {
-      TURBO_RETURN_IF_ERROR(logs_.Deserialize(&logs));
+  // A full section is the delta over the fresh server's empty store.
+  TURBO_RETURN_IF_ERROR(decode(kEdges, [&](storage::BinaryReader* edges) {
+    return edges_.ApplyDeltaSection(edges, num_users);
+  }));
+  TURBO_RETURN_IF_ERROR(decode(kLogs, [&](storage::BinaryReader* logs) {
+    if (!delta) return logs_.Deserialize(logs, num_users);
+    // Appended directly, not through Ingest: replayed logs must not
+    // hit the WAL or the since-last-checkpoint tail — they are
+    // already durable in the chain being applied.
+    BehaviorLogList tail;
+    TURBO_RETURN_IF_ERROR(storage::DecodeLogBatch(logs, &tail));
+    for (const BehaviorLog& log : tail) {
+      TURBO_RETURN_IF_ERROR(CheckLog(log));
+      logs_.Append(log);
     }
+    return Status::OK();
+  }));
+  TURBO_RETURN_IF_ERROR(decode(kBuckets, [&](storage::BinaryReader* buckets) {
+    return builder_.DeserializeCacheDelta(buckets, num_users);
+  }));
+  // A delta carries only epochs cached since its parent; epochs the
+  // writer *evicted* in that span leave no record. Re-evicting with the
+  // just-decoded frontiers reproduces the writer's bound exactly (it
+  // evicts with min(last_job_end_) after every job too); after a full
+  // load it removes nothing.
+  if (!last_job_end_.empty()) {
+    builder_.EvictCachedBuckets(
+        *std::min_element(last_job_end_.begin(), last_job_end_.end()));
   }
-  {
-    storage::BinaryReader buckets(reader.Find(names[kBuckets]));
-    TURBO_RETURN_IF_ERROR(builder_.DeserializeCacheDelta(&buckets));
-    // A delta carries only epochs cached since its parent; epochs the
-    // writer *evicted* in that span leave no record. Re-evicting with
-    // the just-decoded frontiers reproduces the writer's bound exactly
-    // (it evicts with min(last_job_end_) after every job too); after a
-    // full load it removes nothing.
-    if (!last_job_end_.empty()) {
-      builder_.EvictCachedBuckets(
-          *std::min_element(last_job_end_.begin(), last_job_end_.end()));
-    }
-  }
-  {
-    // Mode 0 keeps the current snapshot, 1 replaces it, 2 patches it.
-    // While the base is read there is no current snapshot, so a diff
-    // there is rejected.
-    storage::BinaryReader snap(reader.Find(names[kSnapshot]));
-    const uint8_t mode = snap.U8();
-    if (!snap.ok() || mode > 2) {
+  TURBO_RETURN_IF_ERROR(decode(kSnapshot, [&](storage::BinaryReader* snap) {
+    // Present: a diff over the current snapshot, which is none while
+    // the base is read, so there the diff must hold every group.
+    const uint8_t present = snap->U8();
+    if (!snap->ok() || present > 1) {
       return Status::InvalidArgument("corrupt checkpoint snapshot section");
     }
-    if (mode != 0) {
-      auto base = snapshot_.load(std::memory_order_acquire);
-      if (mode == 2 && base == nullptr) {
-        return Status::InvalidArgument(
-            "snapshot diff with no base snapshot in the chain");
-      }
-      auto snapshot_or = mode == 1
-                             ? bn::BnSnapshot::Deserialize(&snap)
-                             : bn::BnSnapshot::DeserializePatched(base, &snap);
-      if (!snapshot_or.ok()) return snapshot_or.status();
-      auto restored = snapshot_or.take();
-      // The meta section pins num_users, so a mismatched node count in
-      // a CRC-valid snapshot can only be corruption.
-      if (restored->num_nodes() != config_.num_users) {
-        return Status::InvalidArgument(StrFormat(
-            "checkpoint snapshot has %d nodes but the server is "
-            "configured for %d users",
-            restored->num_nodes(), config_.num_users));
-      }
-      snapshot_version_g_->Set(static_cast<double>(restored->version()));
-      snapshot_edges_g_->Set(static_cast<double>(restored->TotalEdges()));
-      snapshot_bytes_g_->Set(static_cast<double>(restored->MemoryBytes()));
-      snapshot_.store(std::move(restored), std::memory_order_release);
+    if (present == 0) return Status::OK();
+    auto snapshot_or = bn::BnSnapshot::DeserializePatched(
+        snapshot_.load(std::memory_order_acquire), snap);
+    if (!snapshot_or.ok()) return snapshot_or.status();
+    auto restored = snapshot_or.take();
+    // The meta section pins num_users, so a mismatched node count in
+    // a CRC-valid snapshot can only be corruption.
+    if (restored->num_nodes() != config_.num_users) {
+      return Status::InvalidArgument(StrFormat(
+          "checkpoint snapshot has %d nodes but the server is "
+          "configured for %d users",
+          restored->num_nodes(), config_.num_users));
     }
-  }
+    snapshot_version_g_->Set(static_cast<double>(restored->version()));
+    snapshot_edges_g_->Set(static_cast<double>(restored->TotalEdges()));
+    snapshot_bytes_g_->Set(static_cast<double>(restored->MemoryBytes()));
+    snapshot_.store(std::move(restored), std::memory_order_release);
+    return Status::OK();
+  }));
   // Full replacement, not a merge: the section is the writer's entire
   // since-last-publish set at checkpoint time.
-  storage::BinaryReader churn(reader.Find(names[kChurn]));
-  return snapshot_churn_.Deserialize(&churn, num_users);
+  return decode(kChurn, [&](storage::BinaryReader* churn) {
+    return snapshot_churn_.Deserialize(churn, num_users);
+  });
 }
 
 Status BnServer::Recover(const std::string& dir) {

@@ -205,7 +205,11 @@ Result<CheckpointReader> CheckpointReader::Open(const std::string& path) {
       return Status::InvalidArgument(StrFormat(
           "%s: CRC mismatch in section '%s'", path.c_str(), name.c_str()));
     }
-    reader.sections_.emplace(name, std::string_view(payload, size));
+    if (!reader.sections_.emplace(name, std::string_view(payload, size))
+             .second) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: repeated section '%s'", path.c_str(), name.c_str()));
+    }
   }
   if (!r.ok() || r.remaining() != 0) {
     return Status::InvalidArgument(path + ": trailing or missing bytes");

@@ -45,6 +45,7 @@
 #include <string_view>
 
 #include "storage/behavior_log.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace turbo::storage {
@@ -65,6 +66,17 @@ class BinaryWriter {
   void String(std::string_view s) {
     U64(s.size());
     Raw(s.data(), s.size());
+  }
+  /// Writes a u64 placeholder and returns its offset, for a count known
+  /// only after the items it counts are written (see SetU64).
+  size_t U64Slot() {
+    const size_t at = buf_.size();
+    U64(0);
+    return at;
+  }
+  void SetU64(size_t at, uint64_t v) {
+    TURBO_CHECK_LE(at + sizeof(v), buf_.size());
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
   }
 
   const std::string& data() const { return buf_; }

@@ -164,102 +164,52 @@ size_t EdgeStore::TotalEdges() const {
   return s;
 }
 
-void EdgeStore::Serialize(BinaryWriter* w) const {
+EdgeChurn EdgeStore::AllRows() const {
+  EdgeChurn rows;
   for (int t = 0; t < kNumEdgeTypes; ++t) {
-    w->U64(edge_count_[t]);
-    const auto& adj = by_type_[t];
+    const Adjacency& adj = by_type_[t];
     for (UserId u = 0; u < adj.size(); ++u) {
-      // Neighbor maps are unordered; emit ascending ids so equal stores
-      // serialize to equal bytes.
-      std::vector<UserId> nbrs;
-      nbrs.reserve(adj[u].size());
-      for (const auto& [v, e] : adj[u]) {
-        if (u < v) nbrs.push_back(v);
-      }
-      std::sort(nbrs.begin(), nbrs.end());
-      for (UserId v : nbrs) {
-        const EdgeInfo& e = adj[u].at(v);
-        w->U32(u);
-        w->U32(v);
-        w->F64(e.weight);
-        w->I64(e.last_update);
-      }
+      if (!adj[u].empty()) rows.Touch(t, u);
     }
   }
-}
-
-Status EdgeStore::Deserialize(BinaryReader* r, UserId num_users) {
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    by_type_[t].clear();
-    edge_count_[t] = 0;
-  }
-  for (int t = 0; t < kNumEdgeTypes; ++t) {
-    const uint64_t count = r->U64();
-    auto& adj = by_type_[t];
-    for (uint64_t i = 0; i < count; ++i) {
-      const UserId u = r->U32();
-      const UserId v = r->U32();
-      const double weight = r->F64();
-      const SimTime last_update = r->I64();
-      if (!r->ok()) {
-        return Status::InvalidArgument("truncated edge section");
-      }
-      if (u == v || weight <= 0.0) {
-        return Status::InvalidArgument("corrupt edge record");
-      }
-      if (u >= num_users || v >= num_users) {
-        return Status::InvalidArgument(
-            "edge record endpoint out of range");
-      }
-      EnsureSize(&adj, std::max(u, v));
-      adj[u][v] = EdgeInfo{weight, last_update};
-      adj[v][u] = EdgeInfo{weight, last_update};
-      ++edge_count_[t];
-    }
-  }
-  // A section cut at a type boundary reads its missing counts as 0.
-  if (!r->ok()) return Status::InvalidArgument("truncated edge section");
-  return Status::OK();
+  return rows;
 }
 
 void EdgeStore::SerializeTouched(const EdgeChurn& churn,
                                  BinaryWriter* w) const {
   for (int t = 0; t < kNumEdgeTypes; ++t) {
-    const auto& touched = churn.nodes[t];
-    const std::vector<UserId> ids = SortedIds(touched);
+    const std::vector<UserId> ids = SortedIds(churn.nodes[t]);
     w->U64(ids.size());
     w->Bytes(ids.data(), ids.size() * sizeof(UserId));
     // Each edge with >= 1 touched endpoint is emitted exactly once: from
     // its touched endpoint when only one is touched, from the smaller id
-    // when both are. Two passes (count, then rows) keep the layout
-    // self-describing without buffering the rows.
-    const auto emits = [&](UserId u, UserId v) {
-      return !touched.contains(v) || v > u;
-    };
-    uint64_t count = 0;
+    // when both are. The test runs on every directed entry of a touched
+    // row (every entry, in a full checkpoint), so membership is a dense
+    // table, not a hash probe; every neighbour has a row, so the table
+    // spans them all. The record count goes in a slot filled after the
+    // rows, so each row is walked once.
+    std::vector<uint8_t> touched(by_type_[t].size(), 0);
     for (UserId u : ids) {
-      for (const auto& [v, e] : Neighbors(t, u)) {
-        if (emits(u, v)) ++count;
-      }
+      if (u < touched.size()) touched[u] = 1;
     }
-    w->U64(count);
-    std::vector<UserId> nbrs;
+    const size_t count_at = w->U64Slot();
+    uint64_t count = 0;
+    std::vector<std::pair<UserId, const EdgeInfo*>> nbrs;
     for (UserId u : ids) {
-      const auto& row = Neighbors(t, u);
       nbrs.clear();
-      nbrs.reserve(row.size());
-      for (const auto& [v, e] : row) {
-        if (emits(u, v)) nbrs.push_back(v);
+      for (const auto& [v, e] : Neighbors(t, u)) {
+        if (touched[v] == 0 || v > u) nbrs.push_back({v, &e});
       }
       std::sort(nbrs.begin(), nbrs.end());
-      for (UserId v : nbrs) {
-        const EdgeInfo& e = row.at(v);
+      for (const auto& [v, e] : nbrs) {
         w->U32(u);
         w->U32(v);
-        w->F64(e.weight);
-        w->I64(e.last_update);
+        w->F64(e->weight);
+        w->I64(e->last_update);
       }
+      count += nbrs.size();
     }
+    w->SetU64(count_at, count);
   }
 }
 
@@ -292,7 +242,7 @@ Status EdgeStore::ApplyDeltaSection(BinaryReader* r, UserId num_users) {
       const UserId v = r->U32();
       const double weight = r->F64();
       const SimTime last_update = r->I64();
-      if (u == v || weight <= 0.0) {
+      if (u == v || !(weight > 0.0)) {
         return Status::InvalidArgument("corrupt edge-delta record");
       }
       if (u >= num_users || v >= num_users) {
@@ -300,12 +250,13 @@ Status EdgeStore::ApplyDeltaSection(BinaryReader* r, UserId num_users) {
             "edge-delta endpoint out of range");
       }
       EnsureSize(&adj, std::max(u, v));
-      if (adj[u].contains(v)) {
-        // Each edge is emitted once; a duplicate would double-count.
+      const EdgeInfo info{weight, last_update};
+      // Each edge is emitted once; a duplicate would double-count. The
+      // insert itself detects it, so the check costs no extra probe.
+      if (!adj[u].try_emplace(v, info).second) {
         return Status::InvalidArgument("duplicate edge-delta record");
       }
-      adj[u][v] = EdgeInfo{weight, last_update};
-      adj[v][u] = EdgeInfo{weight, last_update};
+      adj[v][u] = info;
       ++edge_count_[t];
     }
   }

@@ -89,29 +89,27 @@ class EdgeStore {
   /// Users that have at least one edge of any type.
   std::vector<UserId> ConnectedUsers() const;
 
-  /// Checkpoint hook: writes every undirected edge (from its smaller
-  /// endpoint, endpoints ascending) with its exact double weight bits and
-  /// TTL timestamp. Deterministic: equal stores produce equal bytes.
-  void Serialize(BinaryWriter* w) const;
+  /// Every (type, node) that holds a row: SerializeTouched over it
+  /// writes the whole store, which is the full checkpoint's edge section
+  /// (the delta over an empty store).
+  EdgeChurn AllRows() const;
 
-  /// Restores a Serialize()d store, replacing current contents. Weights
-  /// are restored bit-exactly (not re-accumulated through float adds).
-  /// Records with an endpoint >= `num_users` are rejected as corrupt:
-  /// without the bound a CRC-valid but hand-crafted id near 2^32 would
-  /// drive a multi-billion-row adjacency resize instead of an error.
-  Status Deserialize(BinaryReader* r, UserId num_users);
-
-  /// Delta-checkpoint hook: writes, per type, the churned node ids
-  /// (ascending) followed by the *current* state of every edge with at
-  /// least one churned endpoint, each emitted exactly once with exact
-  /// weight bits. Deterministic for equal (store, churn) inputs.
+  /// The edge-section codec (checkpoint hook): writes, per type, the
+  /// churned node ids (ascending) followed by the *current* state of
+  /// every edge with at least one churned endpoint, each emitted exactly
+  /// once with exact weight bits. Deterministic for equal (store, churn)
+  /// inputs.
   void SerializeTouched(const EdgeChurn& churn, BinaryWriter* w) const;
 
   /// Applies a SerializeTouched()d section: clears the recorded nodes'
-  /// rows (mirrors included), then inserts the emitted edges bit-exactly.
-  /// Applying the section written against this store's own baseline
-  /// reproduces the writer's store bit for bit. Validates endpoints
-  /// against `num_users` like Deserialize.
+  /// rows (mirrors included), then inserts the emitted edges bit-exactly
+  /// (not re-accumulated through float adds). Applying the section
+  /// written against this store's own baseline reproduces the writer's
+  /// store bit for bit; into an empty store, a section written over
+  /// AllRows() restores the whole store. Rejects a duplicate record and
+  /// an endpoint >= `num_users`: without the bound a CRC-valid but
+  /// hand-crafted id near 2^32 would drive a multi-billion-row adjacency
+  /// resize instead of an error.
   Status ApplyDeltaSection(BinaryReader* r, UserId num_users);
 
   /// Bit-identity oracle (DESIGN.md §10): the first difference from

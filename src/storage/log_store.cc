@@ -236,7 +236,7 @@ void LogStore::Serialize(BinaryWriter* w) const {
   }
 }
 
-Status LogStore::Deserialize(BinaryReader* r) {
+Status LogStore::Deserialize(BinaryReader* r, UserId num_users) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   by_user_.clear();
   by_value_.clear();
@@ -255,19 +255,20 @@ Status LogStore::Deserialize(BinaryReader* r) {
   // Per-user runs. Every count is checked against the bytes actually
   // remaining before any allocation, so a corrupt length field fails
   // cleanly instead of triggering a huge resize.
-  const uint64_t num_users = r->U64();
-  if (!r->ok() || num_users > r->remaining() / (4 + 1 + 8)) {
+  const uint64_t num_runs = r->U64();
+  if (!r->ok() || num_runs > r->remaining() / (4 + 1 + 8)) {
     return fail("bad user count");
   }
-  by_user_.reserve(num_users);
+  by_user_.reserve(num_runs);
   uint64_t logs_seen = 0;
-  for (uint64_t u = 0; u < num_users; ++u) {
+  for (uint64_t u = 0; u < num_runs; ++u) {
     const UserId uid = r->U32();
     const uint8_t sorted = r->U8();
     const uint64_t count = r->U64();
     if (!r->ok() || count > r->remaining() / kUserRowBytes) {
       return fail("truncated user run");
     }
+    if (uid >= num_users) return fail("user run uid out of range");
     UserIndex& idx = by_user_[uid];
     if (!idx.logs.empty()) return fail("duplicate user run");
     idx.sorted = sorted != 0;
@@ -282,6 +283,7 @@ Status LogStore::Deserialize(BinaryReader* r) {
       log.type = static_cast<BehaviorType>(static_cast<uint8_t>(p[0]));
       std::memcpy(&log.value, p + 1, sizeof(log.value));
       std::memcpy(&log.time, p + 9, sizeof(log.time));
+      if (log.time < 0) return fail("negative log time");
     }
     logs_seen += count;
   }
@@ -314,6 +316,8 @@ Status LogStore::Deserialize(BinaryReader* r) {
       Observation& o = idx.obs[i];
       std::memcpy(&o.uid, p, sizeof(o.uid));
       std::memcpy(&o.time, p + 4, sizeof(o.time));
+      if (o.uid >= num_users) return fail("observation uid out of range");
+      if (o.time < 0) return fail("negative observation time");
     }
     obs_seen += count;
   }
@@ -331,6 +335,7 @@ Status LogStore::Deserialize(BinaryReader* r) {
     if (!r->ok() || count > r->remaining() / kKeyRowBytes) {
       return fail("truncated hour bucket");
     }
+    if (hour < 0) return fail("negative hour bucket");
     auto& bucket = touched_by_hour_[hour];
     if (!bucket.empty()) return fail("duplicate hour bucket");
     bucket.reserve(count);

@@ -99,8 +99,9 @@ class LogStore {
   /// cheaper than re-appending log by log, which is what keeps crash
   /// recovery ahead of a cold rebuild. Every count field is validated
   /// against the bytes remaining before allocation; fails (and leaves
-  /// the store cleared) on truncation or inconsistent counts.
-  Status Deserialize(BinaryReader* r);
+  /// the store cleared) on truncation, inconsistent counts, a uid at or
+  /// past `num_users` or a negative time, the checks a WAL record gets.
+  Status Deserialize(BinaryReader* r, UserId num_users);
 
   const MediumCost& cost() const { return cost_; }
 

@@ -265,17 +265,56 @@ TEST(BnBuilderTest, DeserializeCacheDeltaRejectsOutOfRangeType) {
     BnBuilder builder(cfg, &edges);
     const std::string bytes = section(static_cast<uint8_t>(kIp));
     storage::BinaryReader r(bytes);
-    ASSERT_TRUE(builder.DeserializeCacheDelta(&r).ok());
+    ASSERT_TRUE(builder.DeserializeCacheDelta(&r, /*num_users=*/8).ok());
     EXPECT_EQ(builder.CachedBucketEpochs(), 1u);
   }
   for (const uint8_t type : {uint8_t{10}, uint8_t{255}}) {
     BnBuilder builder(cfg, &edges);
     const std::string bytes = section(type);
     storage::BinaryReader r(bytes);
-    EXPECT_EQ(builder.DeserializeCacheDelta(&r).code(),
+    EXPECT_EQ(builder.DeserializeCacheDelta(&r, /*num_users=*/8).code(),
               StatusCode::kInvalidArgument)
         << "type " << int{type};
     EXPECT_EQ(builder.CachedBucketEpochs(), 0u);
+  }
+}
+
+// The section also refuses a bucket user id at or past num_users and a
+// negative epoch end, the checks a WAL record gets.
+TEST(BnBuilderTest, DeserializeCacheDeltaRejectsOutOfRangeUserAndTime) {
+  // One epoch, one key with users {1, user}.
+  const auto section = [](SimTime epoch_end, UserId user) {
+    storage::BinaryWriter w;
+    w.U64(1);
+    w.I64(epoch_end);
+    w.U64(1);
+    w.U8(static_cast<uint8_t>(kIp));
+    w.U64(42);
+    w.U64(2);
+    w.U32(1);
+    w.U32(user);
+    return w.data();
+  };
+  BnConfig cfg;
+  cfg.windows = {kHour, kDay};
+  EdgeStore edges;
+  {
+    BnBuilder builder(cfg, &edges);
+    const std::string bytes = section(kHour, 7);
+    storage::BinaryReader r(bytes);
+    ASSERT_TRUE(builder.DeserializeCacheDelta(&r, /*num_users=*/8).ok());
+  }
+  const std::pair<std::string, const char*> cases[] = {
+      {section(kHour, 8), "user id 8 of 8"},
+      {section(-kHour, 7), "epoch end -1h"},
+  };
+  for (const auto& [bytes, what] : cases) {
+    BnBuilder builder(cfg, &edges);
+    storage::BinaryReader r(bytes);
+    EXPECT_EQ(builder.DeserializeCacheDelta(&r, /*num_users=*/8).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(builder.CachedBucketEpochs(), 0u) << what;
   }
 }
 

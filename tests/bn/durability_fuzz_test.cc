@@ -1,13 +1,13 @@
-// Seeded fuzz of the durability decoders: the WAL segment reader, and
-// the checkpoint section decoders of the edge store (full and delta),
-// the log store, the bucket cache, the churn set and the snapshot (full
-// and diff). Every input must either decode or fail with a non-OK
-// Status: a decoder may never crash or read out of bounds (the
-// asan-ubsan job runs this file). Inputs are valid encodings of random
-// states, their truncations, byte flips, random appended tails, and
-// random bodies; a flipped WAL record gets its CRC recomputed, so the
-// record decoder sees the damage rather than the CRC check. Failures
-// print the seed and the input.
+// Seeded fuzz of the durability decoders: the WAL segment reader, the
+// checkpoint container, and the checkpoint section decoders of the edge
+// store (full and delta), the log store, the bucket cache, the churn set
+// and the snapshot (over no base and over a base). Every input must
+// either decode or fail with a non-OK Status: a decoder may never crash
+// or read out of bounds (the asan-ubsan job runs this file). Inputs are
+// valid encodings of random states, their truncations, byte flips,
+// random appended tails, and random bodies; a flipped WAL record gets
+// its CRC recomputed, so the record decoder sees the damage rather than
+// the CRC check. Failures print the seed and the input.
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -216,18 +216,56 @@ TEST(DurabilityFuzzTest, WalSegment) {
   Fuzz("wal_segment", make, decode, recrc);
 }
 
+TEST(DurabilityFuzzTest, CheckpointContainer) {
+  const std::string dir = testing::TempDir() + "/durability_fuzz_ckpt";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/checkpoint.bin";
+  const char* const kNames[] = {"meta", "server", "edges", "logs", "churn"};
+  Fuzz(
+      "checkpoint",
+      [&](Rng* rng) {
+        storage::CheckpointWriter writer;
+        writer.SetChain(static_cast<storage::CheckpointKind>(rng->NextUint(2)),
+                        rng->Next(), rng->Next());
+        for (const char* name : kNames) {
+          if (rng->NextUint(2) == 0) continue;
+          BinaryWriter payload;
+          const std::string body = RandomBytes(rng, rng->NextUint(24));
+          payload.Bytes(body.data(), body.size());
+          writer.AddSection(name, payload);
+        }
+        TURBO_CHECK(writer.WriteFile(path).ok());
+        auto bytes = storage::ReadFileBytes(path);
+        TURBO_CHECK(bytes.ok());
+        return bytes.value();
+      },
+      [&](const std::string& bytes) {
+        TURBO_CHECK(storage::WriteFileAtomic(path, bytes).ok());
+        auto reader_or = storage::CheckpointReader::Open(path);
+        if (!reader_or.ok()) return reader_or.status();
+        // What Open accepts lies inside the file.
+        for (const char* name : kNames) {
+          EXPECT_LE(reader_or.value().Find(name).size(), bytes.size());
+        }
+        return Status::OK();
+      });
+}
+
 TEST(DurabilityFuzzTest, EdgeStoreSection) {
+  // A full section: every row, applied to an empty store.
   Fuzz(
       "edges",
       [](Rng* rng) {
+        const storage::EdgeStore store = RandomEdges(rng, 30);
         BinaryWriter w;
-        RandomEdges(rng, 30).Serialize(&w);
+        store.SerializeTouched(store.AllRows(), &w);
         return w.data();
       },
       [](const std::string& bytes) {
         BinaryReader r(bytes);
         storage::EdgeStore store;
-        return store.Deserialize(&r, kUsers);
+        return store.ApplyDeltaSection(&r, kUsers);
       });
 }
 
@@ -240,7 +278,7 @@ TEST(DurabilityFuzzTest, EdgeStoreDeltaSection) {
       [&](Rng* rng) {
         storage::EdgeStore base = RandomEdges(rng, 20);
         BinaryWriter bw;
-        base.Serialize(&bw);
+        base.SerializeTouched(base.AllRows(), &bw);
         base_bytes = bw.data();
         storage::EdgeChurn churn;
         const int n = static_cast<int>(rng->NextUint(10));
@@ -260,7 +298,7 @@ TEST(DurabilityFuzzTest, EdgeStoreDeltaSection) {
       [&](const std::string& bytes) {
         storage::EdgeStore store;
         BinaryReader base(base_bytes);
-        TURBO_CHECK(store.Deserialize(&base, kUsers).ok());
+        TURBO_CHECK(store.ApplyDeltaSection(&base, kUsers).ok());
         BinaryReader r(bytes);
         return store.ApplyDeltaSection(&r, kUsers);
       });
@@ -281,7 +319,7 @@ TEST(DurabilityFuzzTest, LogStoreSection) {
       [](const std::string& bytes) {
         BinaryReader r(bytes);
         storage::LogStore store;
-        return store.Deserialize(&r);
+        return store.Deserialize(&r, kUsers);
       });
 }
 
@@ -304,7 +342,7 @@ TEST(DurabilityFuzzTest, BucketCacheSection) {
         storage::EdgeStore edges;
         BnBuilder builder(cfg, &edges);
         BinaryReader r(bytes);
-        return builder.DeserializeCacheDelta(&r);
+        return builder.DeserializeCacheDelta(&r, kUsers);
       });
 }
 
@@ -330,18 +368,19 @@ TEST(DurabilityFuzzTest, ChurnSection) {
 }
 
 TEST(DurabilityFuzzTest, SnapshotSection) {
+  // Over no base: every group written, every group required.
   Fuzz(
       "snapshot",
       [](Rng* rng) {
         BinaryWriter w;
         BuildSnapshot(RandomEdges(rng, 30), rng->NextUint(2) == 0,
                       rng->Next())
-            ->Serialize(&w);
+            ->SerializeDiff(nullptr, &w);
         return w.data();
       },
       [](const std::string& bytes) {
         BinaryReader r(bytes);
-        return BnSnapshot::Deserialize(&r).status();
+        return BnSnapshot::DeserializePatched(nullptr, &r).status();
       });
 }
 
@@ -370,7 +409,7 @@ TEST(DurabilityFuzzTest, SnapshotDiffSection) {
         const auto next =
             BnSnapshot::ApplyDeltas(base, store, churn, options, 2);
         BinaryWriter w;
-        next->SerializeDiff(*base, &w);
+        next->SerializeDiff(base.get(), &w);
         return w.data();
       },
       [&](const std::string& bytes) {

@@ -148,9 +148,9 @@ TEST(SnapshotOracleTest, IdenticalSnapshotsHaveNoDifference) {
   EXPECT_EQ(snap->FirstDifference(*BnSnapshot::Build(MakeStore(), 3, {}, 2)),
             "");
   storage::BinaryWriter w;
-  snap->Serialize(&w);
+  snap->SerializeDiff(nullptr, &w);
   storage::BinaryReader r(w.data());
-  auto restored_or = BnSnapshot::Deserialize(&r);
+  auto restored_or = BnSnapshot::DeserializePatched(nullptr, &r);
   ASSERT_TRUE(restored_or.ok());
   EXPECT_EQ(snap->FirstDifference(*restored_or.value()), "");
 }
@@ -175,6 +175,26 @@ TEST(SnapshotOracleTest, EverySingleChangeIsNamed) {
         BnSnapshot::Build(MakeStore(), 3, Raw())->FirstDifference(*other);
     EXPECT_NE(diff.find(named), std::string::npos) << diff;
   }
+
+  // Same rows, but one stored weighted degree restored with its last
+  // mantissa bit flipped: the next ApplyDeltas would read it for an
+  // untouched endpoint. Type 0's row 1 is the first degree of 4.0.
+  const auto normalized = BnSnapshot::Build(MakeStore(), 3);
+  storage::BinaryWriter w;
+  normalized->SerializeDiff(nullptr, &w);
+  std::string bytes = w.data();
+  const double four = 4.0;
+  const size_t at =
+      bytes.find(std::string(reinterpret_cast<const char*>(&four), 8));
+  ASSERT_NE(at, std::string::npos);
+  bytes[at] ^= 1;  // little-endian: the lowest mantissa bit
+  storage::BinaryReader r(bytes);
+  auto flipped_or = BnSnapshot::DeserializePatched(nullptr, &r);
+  ASSERT_TRUE(flipped_or.ok()) << flipped_or.status().ToString();
+  const std::string diff = normalized->FirstDifference(*flipped_or.value());
+  EXPECT_NE(diff.find("type 0 row 1: wdeg 4 vs 4.0000000000000009"),
+            std::string::npos)
+      << diff;
 }
 
 TEST(SnapshotDeathTest, BoundsChecked) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -248,37 +249,50 @@ TEST(RecoveryTest, RestartAfterTornTailRecoveryStillRecovers) {
   EXPECT_EQ(reference.FirstDifference(again), "");
 }
 
+/// Writes a one-day full checkpoint into `dir`, then rewrites its
+/// section `name` with `edit` applied to the payload, keeping the other
+/// sections (and so every CRC) valid: the attack a corrupt but CRC-valid
+/// section makes. Returns the Status a fresh server's Recover reports.
+Status RecoverWithEditedSection(
+    const std::string& dir, const std::string& name,
+    const std::function<void(std::string*)>& edit) {
+  {
+    BnServer writer(SmallConfig(dir));
+    writer.IngestBatch(Traffic(0, kDay, 40));
+    writer.AdvanceTo(kDay);
+    TURBO_CHECK(writer.Checkpoint(dir).ok());
+  }
+  const std::string path = dir + "/checkpoint.bin";
+  auto reader_or = storage::CheckpointReader::Open(path);
+  TURBO_CHECK(reader_or.ok());
+  storage::CheckpointWriter rewriter;
+  for (const char* section : {"meta", "server", "edges", "logs", "buckets",
+                              "snapshot", "churn"}) {
+    std::string payload(reader_or.value().Find(section));
+    if (section == name) edit(&payload);
+    storage::BinaryWriter w;
+    w.Bytes(payload.data(), payload.size());
+    rewriter.AddSection(section, w);
+  }
+  TURBO_CHECK(rewriter.WriteFile(path).ok());
+  BnServer recovered(SmallConfig(dir));
+  return recovered.Recover(dir);
+}
+
 TEST(RecoveryTest, SnapshotNodeCountMismatchIsRejected) {
   // A CRC-valid checkpoint whose snapshot section claims a different
   // node count than the (matching) meta section can only be corruption;
   // it must fail cleanly, not publish a wrong-sized serving graph.
-  const std::string dir = FreshDir("rec_snap_nodes");
-  BnServer writer(SmallConfig(dir));
-  writer.IngestBatch(Traffic(0, kDay, 40));
-  writer.AdvanceTo(kDay);
-  ASSERT_TRUE(writer.Checkpoint(dir).ok());
-
-  const std::string path = dir + "/checkpoint.bin";
-  auto reader_or = storage::CheckpointReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  storage::CheckpointWriter rewriter;
-  for (const char* name :
-       {"meta", "server", "edges", "logs", "buckets", "churn"}) {
-    storage::BinaryWriter section;
-    const std::string_view payload = reader_or.value().Find(name);
-    section.Bytes(payload.data(), payload.size());
-    rewriter.AddSection(name, section);
-  }
-  storage::BinaryWriter snap;
-  snap.U8(1);
-  storage::EdgeStore tiny;
-  tiny.AddWeight(0, 1, 2, 1.0f, 0);
-  bn::BnSnapshot::Build(tiny, /*num_nodes=*/32, {}, 1)->Serialize(&snap);
-  rewriter.AddSection("snapshot", snap);
-  ASSERT_TRUE(rewriter.WriteFile(path).ok());
-
-  BnServer recovered(SmallConfig(dir));
-  const Status s = recovered.Recover(dir);
+  const Status s = RecoverWithEditedSection(
+      FreshDir("rec_snap_nodes"), "snapshot", [](std::string* payload) {
+        storage::BinaryWriter snap;
+        snap.U8(1);
+        storage::EdgeStore tiny;
+        tiny.AddWeight(0, 1, 2, 1.0f, 0);
+        bn::BnSnapshot::Build(tiny, /*num_nodes=*/32, {}, 1)
+            ->SerializeDiff(nullptr, &snap);
+        *payload = snap.data();
+      });
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
@@ -286,37 +300,71 @@ TEST(RecoveryTest, SnapshotNodeCountMismatchIsRejected) {
 TEST(RecoveryTest, OutOfRangeEdgeEndpointInCheckpointIsRejected) {
   // Same section-swap attack on "edges": an endpoint beyond num_users
   // must be a clean error, not a multi-billion-row adjacency resize.
-  const std::string dir = FreshDir("rec_edge_bound");
-  BnServer writer(SmallConfig(dir));
-  writer.IngestBatch(Traffic(0, kDay, 40));
-  writer.AdvanceTo(kDay);
-  ASSERT_TRUE(writer.Checkpoint(dir).ok());
-
-  const std::string path = dir + "/checkpoint.bin";
-  auto reader_or = storage::CheckpointReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  storage::CheckpointWriter rewriter;
-  for (const char* name :
-       {"meta", "server", "logs", "buckets", "snapshot", "churn"}) {
-    storage::BinaryWriter section;
-    const std::string_view payload = reader_or.value().Find(name);
-    section.Bytes(payload.data(), payload.size());
-    rewriter.AddSection(name, section);
-  }
-  storage::BinaryWriter edges;
-  edges.U64(1);  // type 0: one edge with a uid far past num_users
-  edges.U32(3000000000u);
-  edges.U32(1);
-  edges.F64(1.0);
-  edges.I64(0);
-  for (int t = 1; t < kNumEdgeTypes; ++t) edges.U64(0);
-  rewriter.AddSection("edges", edges);
-  ASSERT_TRUE(rewriter.WriteFile(path).ok());
-
-  BnServer recovered(SmallConfig(dir));
-  const Status s = recovered.Recover(dir);
+  const Status s = RecoverWithEditedSection(
+      FreshDir("rec_edge_bound"), "edges", [](std::string* payload) {
+        storage::BinaryWriter edges;
+        edges.U64(0);  // type 0: no touched ids, one edge with a uid
+        edges.U64(1);  // far past num_users
+        edges.U32(3000000000u);
+        edges.U32(1);
+        edges.F64(1.0);
+        edges.I64(0);
+        for (int t = 1; t < kNumEdgeTypes; ++t) {
+          edges.U64(0);
+          edges.U64(0);
+        }
+        *payload = edges.data();
+      });
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RecoveryTest, OutOfRangeOrNegativeLogInCheckpointIsRejected) {
+  // A full "logs" section gets the checks a WAL record gets: a uid past
+  // num_users (64) recovered OK before and aborted the next AdvanceTo.
+  for (const BehaviorLog& bad : {L(100, 1, kHour), L(1, 1, -kHour)}) {
+    SCOPED_TRACE(testing::Message() << "uid " << bad.uid << " time "
+                                    << bad.time);
+    const Status s = RecoverWithEditedSection(
+        FreshDir("rec_logs_bound"), "logs", [&](std::string* payload) {
+          storage::LogStore logs;
+          logs.Append(L(2, 1, kHour));
+          logs.Append(bad);
+          storage::BinaryWriter w;
+          logs.Serialize(&w);
+          *payload = w.data();
+        });
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+}
+
+TEST(RecoveryTest, OutOfRangeBucketUserInCheckpointIsRejected) {
+  const Status s = RecoverWithEditedSection(
+      FreshDir("rec_bucket_bound"), "buckets", [](std::string* payload) {
+        storage::BinaryWriter w;
+        w.U64(1);  // one epoch ending at 1h, one key with users {1, 100}
+        w.I64(kHour);
+        w.U64(1);
+        w.U8(static_cast<uint8_t>(kIp));
+        w.U64(42);
+        w.U64(2);
+        w.U32(1);
+        w.U32(100);
+        *payload = w.data();
+      });
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+TEST(RecoveryTest, TrailingBytesInAFullSectionAreRejected) {
+  // Every section must decode to its end; "server" and "logs_delta"
+  // always did.
+  for (const char* name : {"edges", "logs", "buckets", "snapshot", "churn"}) {
+    SCOPED_TRACE(name);
+    const Status s = RecoverWithEditedSection(
+        FreshDir("rec_trailing"), name,
+        [](std::string* payload) { payload->append(8, '\0'); });
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
 }
 
 TEST(RecoveryTest, ConfigMismatchIsRejected) {
@@ -328,7 +376,9 @@ TEST(RecoveryTest, ConfigMismatchIsRejected) {
     BnServer writer(SmallConfig(dir));
     writer.IngestBatch(Traffic(0, kHour, 20));
     writer.AdvanceTo(kHour);
-    if (checkpoint) ASSERT_TRUE(writer.Checkpoint(dir).ok());
+    if (checkpoint) {
+      ASSERT_TRUE(writer.Checkpoint(dir).ok());
+    }
 
     BnServerConfig other = SmallConfig(dir);
     other.bn.windows = {kHour, 2 * kDay};  // different engine schedule
@@ -355,7 +405,9 @@ TEST(RecoveryTest, ShardTopologyMismatchIsRejected) {
     BnServer writer(writer_cfg);
     writer.IngestBatch(Traffic(0, kHour, 20));
     writer.AdvanceTo(kHour);
-    if (checkpoint) ASSERT_TRUE(writer.Checkpoint(dir).ok());
+    if (checkpoint) {
+      ASSERT_TRUE(writer.Checkpoint(dir).ok());
+    }
 
     const auto expect_rejected = [&](BnServerConfig cfg) {
       BnServer recovered(std::move(cfg));

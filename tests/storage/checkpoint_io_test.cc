@@ -35,6 +35,20 @@ TEST(BinaryIoTest, RoundTripsAllPrimitiveTypes) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(BinaryIoTest, U64SlotIsFilledInPlace) {
+  BinaryWriter w;
+  w.U8(1);
+  const size_t at = w.U64Slot();
+  w.U32(9);
+  w.SetU64(at, 0x0123456789ABCDEFull);
+  BinaryReader r(w.data());
+  EXPECT_EQ(r.U8(), 1);
+  EXPECT_EQ(r.U64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.U32(), 9u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(BinaryIoTest, ReadPastEndLatchesStickyFailure) {
   BinaryWriter w;
   w.U32(7);
@@ -182,6 +196,35 @@ TEST(CheckpointIoTest, FlippedPayloadByteFailsCrc) {
   auto reader_or = CheckpointReader::Open(path);
   ASSERT_FALSE(reader_or.ok());
   EXPECT_NE(reader_or.status().message().find("CRC"), std::string::npos);
+}
+
+TEST(CheckpointIoTest, RepeatedSectionNameIsRejected) {
+  // Open used to keep the first of two same-named sections and drop the
+  // second without a word.
+  const std::string path = TempPath("ckpt_repeated.bin");
+  CheckpointWriter writer;
+  BinaryWriter payload;
+  payload.U32(7);
+  writer.AddSection("meta", payload);
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+  auto bytes_or = ReadFileBytes(path);
+  ASSERT_TRUE(bytes_or.ok());
+  const std::string bytes = bytes_or.take();
+  // Magic, u32 version, u8 kind, u64 covered, u64 parent, u32 count,
+  // then the one section record; write it twice under a count of 2.
+  const size_t count_at = 8 + 4 + 1 + 8 + 8;
+  const std::string record = bytes.substr(count_at + sizeof(uint32_t));
+  BinaryWriter two;
+  two.U32(2);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes.substr(0, count_at) + two.data() +
+                                        record + record)
+                  .ok());
+  auto reader_or = CheckpointReader::Open(path);
+  ASSERT_FALSE(reader_or.ok());
+  EXPECT_EQ(reader_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reader_or.status().message().find("repeated section 'meta'"),
+            std::string::npos)
+      << reader_or.status().ToString();
 }
 
 TEST(CheckpointIoTest, TruncatedFileFailsCleanly) {

@@ -98,10 +98,10 @@ TEST(EdgeStoreTest, SerializeRoundTripsExactly) {
   store.AddWeight(0, 1, 2, 1.0f / 3.0f, 200);
   store.AddWeight(2, 5, 7, 0.125f, 300);
   BinaryWriter w;
-  store.Serialize(&w);
+  store.SerializeTouched(store.AllRows(), &w);
   BinaryReader r(w.data());
   EdgeStore restored;
-  ASSERT_TRUE(restored.Deserialize(&r, /*num_users=*/8).ok());
+  ASSERT_TRUE(restored.ApplyDeltaSection(&r, /*num_users=*/8).ok());
   EXPECT_EQ(restored.TotalEdges(), 2u);
   // Exact double bits, not re-accumulated floats.
   EXPECT_EQ(restored.Neighbors(0, 1).at(2).weight,
@@ -111,35 +111,64 @@ TEST(EdgeStoreTest, SerializeRoundTripsExactly) {
             store.Neighbors(2, 5).at(7).weight);
 }
 
+/// An edge section in the touched layout: per type, u64 touched count
+/// (none here), u64 record count and the records. Type 0 holds one
+/// weight-1 record per (u, v) pair; the other types are empty.
+std::string EdgeSection(const std::vector<std::pair<UserId, UserId>>& edges) {
+  BinaryWriter w;
+  w.U64(0);
+  w.U64(edges.size());
+  for (const auto& [u, v] : edges) {
+    w.U32(u);
+    w.U32(v);
+    w.F64(1.0);
+    w.I64(0);
+  }
+  for (int t = 1; t < kNumEdgeTypes; ++t) {
+    w.U64(0);
+    w.U64(0);
+  }
+  return w.data();
+}
+
 TEST(EdgeStoreTest, DeserializeRejectsEndpointBeyondBound) {
   // Regression: a CRC-valid but corrupt record with a uid near 2^32 must
   // return InvalidArgument, not drive EnsureSize into a multi-billion-row
   // adjacency resize.
-  BinaryWriter w;
-  w.U64(1);  // type 0: one edge
-  w.U32(3000000000u);
-  w.U32(1);
-  w.F64(1.0);
-  w.I64(0);
-  for (int t = 1; t < kNumEdgeTypes; ++t) w.U64(0);
-  BinaryReader r(w.data());
+  const std::string bytes = EdgeSection({{3000000000u, 1}});
+  BinaryReader r(bytes);
   EdgeStore store;
-  const Status s = store.Deserialize(&r, /*num_users=*/64);
+  const Status s = store.ApplyDeltaSection(&r, /*num_users=*/64);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EdgeStoreTest, DeserializeRejectsEndpointJustPastBound) {
-  BinaryWriter w;
-  w.U64(1);
-  w.U32(1);
-  w.U32(64);  // == num_users, first out-of-range id
-  w.F64(1.0);
-  w.I64(0);
-  for (int t = 1; t < kNumEdgeTypes; ++t) w.U64(0);
-  BinaryReader r(w.data());
+  // 64 == num_users, the first out-of-range id.
+  const std::string bytes = EdgeSection({{1, 64}});
+  BinaryReader r(bytes);
   EdgeStore store;
-  EXPECT_FALSE(store.Deserialize(&r, /*num_users=*/64).ok());
+  EXPECT_FALSE(store.ApplyDeltaSection(&r, /*num_users=*/64).ok());
+}
+
+TEST(EdgeStoreTest, DeserializeRejectsARepeatedRecord) {
+  // Each edge is written once; a second copy, from either endpoint,
+  // would double-count it.
+  {
+    const std::string bytes = EdgeSection({{1, 2}});
+    BinaryReader r(bytes);
+    EdgeStore store;
+    ASSERT_TRUE(store.ApplyDeltaSection(&r, /*num_users=*/64).ok());
+    EXPECT_EQ(store.NumEdges(0), 1u);
+  }
+  for (const UserId first : {1u, 2u}) {
+    const std::string bytes = EdgeSection({{first, 3 - first}, {1, 2}});
+    BinaryReader r(bytes);
+    EdgeStore store;
+    EXPECT_EQ(store.ApplyDeltaSection(&r, /*num_users=*/64).code(),
+              StatusCode::kInvalidArgument)
+        << "first written from " << first;
+  }
 }
 
 TEST(EdgeStoreTest, ExpiryCountsEachUndirectedEdgeOnce) {
@@ -177,10 +206,10 @@ TEST(EdgeStoreOracleTest, IdenticalStoresHaveNoDifference) {
   const EdgeStore store = Build(kAdds);
   EXPECT_EQ(store.FirstDifference(Build(kAdds)), "");
   BinaryWriter w;
-  store.Serialize(&w);
+  store.SerializeTouched(store.AllRows(), &w);
   BinaryReader r(w.data());
   EdgeStore restored;
-  ASSERT_TRUE(restored.Deserialize(&r, /*num_users=*/8).ok());
+  ASSERT_TRUE(restored.ApplyDeltaSection(&r, /*num_users=*/8).ok());
   EXPECT_EQ(store.FirstDifference(restored), "");
   EXPECT_EQ(restored.FirstDifference(store), "");
 }

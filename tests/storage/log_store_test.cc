@@ -1,5 +1,9 @@
 #include "storage/log_store.h"
 
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace turbo::storage {
@@ -129,7 +133,7 @@ TEST(LogStoreTest, DeserializeRejectsOutOfRangeType) {
   {
     BinaryReader r(valid);
     LogStore copy;
-    ASSERT_TRUE(copy.Deserialize(&r).ok());
+    ASSERT_TRUE(copy.Deserialize(&r, /*num_users=*/8).ok());
   }
   // u64 total, u64 users, then the user run: u32 uid, u8 sorted,
   // u64 count and 17-byte rows (type first). Then u64 keys and the
@@ -147,10 +151,52 @@ TEST(LogStoreTest, DeserializeRejectsOutOfRangeType) {
       bytes[at] = static_cast<char>(type);
       BinaryReader r(bytes);
       LogStore copy;
-      EXPECT_EQ(copy.Deserialize(&r).code(), StatusCode::kInvalidArgument)
+      EXPECT_EQ(copy.Deserialize(&r, /*num_users=*/8).code(),
+                StatusCode::kInvalidArgument)
           << "offset " << at << " type " << int{type};
       EXPECT_EQ(copy.size(), 0u);
     }
+  }
+}
+
+// The checks a WAL record gets: every uid (user run, observation) below
+// num_users and every time (user row, observation, hour) non-negative.
+TEST(LogStoreTest, DeserializeRejectsOutOfRangeUidsAndNegativeTimes) {
+  LogStore store;
+  store.Append(L(3, BehaviorType::kIpv4, 42, 10));
+  BinaryWriter w;
+  store.Serialize(&w);
+  const std::string valid = w.data();
+  // Layout as in DeserializeRejectsOutOfRangeType: the user run's uid
+  // follows the two u64 counts, its row's time follows type and value,
+  // the observation row sits after the 18-byte value-key header, and
+  // the hour follows the u64 hour count.
+  const size_t run_uid = 8 + 8;
+  const size_t row_time = run_uid + 4 + 1 + 8 + 1 + 8;
+  const size_t obs_uid = row_time + 8 + 8 + 18;
+  const size_t obs_time = obs_uid + 4;
+  const size_t hour = obs_time + 8 + 8;
+  const auto patch = [&](size_t at, auto value) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+  };
+  ASSERT_EQ(patch(obs_uid, UserId{3}), valid);
+  ASSERT_EQ(patch(hour, int64_t{0}), valid);
+  const std::pair<std::string, const char*> cases[] = {
+      {patch(run_uid, UserId{8}), "user run uid"},
+      {patch(obs_uid, UserId{8}), "observation uid"},
+      {patch(row_time, int64_t{-1}), "user row time"},
+      {patch(obs_time, int64_t{-1}), "observation time"},
+      {patch(hour, int64_t{-1}), "hour"},
+  };
+  for (const auto& [bytes, what] : cases) {
+    BinaryReader r(bytes);
+    LogStore copy;
+    EXPECT_EQ(copy.Deserialize(&r, /*num_users=*/8).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(copy.size(), 0u) << what;
   }
 }
 
